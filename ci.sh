@@ -20,6 +20,11 @@ cargo test --workspace --release -q
 echo "==> golden determinism baseline (empty fault plan must change nothing)"
 cargo test --release -q --test determinism_baseline
 
+echo "==> analytic-table parity gate (Eqs. 12-14 tables must regenerate byte for byte)"
+cargo run --release -q -p dftmsn-bench --bin opt_tables >/dev/null
+git diff --exit-code results/opt1_rts_collisions.* results/opt2_cts_collisions.* \
+    || { echo "analytic-table parity: opt_tables output differs from the committed tables"; exit 1; }
+
 echo "==> fault-injection smoke (crashes + link drops must register)"
 fault_json=$(cargo run --release -q -p dftmsn-cli -- run --protocol OPT \
     --sensors 20 --sinks 2 --duration 2000 --seed 1 \

@@ -59,6 +59,13 @@ fn bench_optimizers(c: &mut Criterion) {
     c.bench_function("eq13_optimize_tau_max", |b| {
         b.iter(|| optimize_tau_max(black_box(&xis), 0.1, 32));
     });
+    // The dominant NOSLEEP shape: seven contenders whose γ stays above the
+    // target up to the cap, so the whole scan runs.
+    let crowd = [0.05, 0.1, 0.15, 0.2, 0.3, 0.45, 0.6];
+    assert_eq!(optimize_tau_max(&crowd, 0.1, 32), 32);
+    c.bench_function("eq13_optimize_tau_max_cap", |b| {
+        b.iter(|| optimize_tau_max(black_box(&crowd), 0.1, 32));
+    });
     c.bench_function("eq14_cts_collision_probability", |b| {
         b.iter(|| cts_collision_probability(black_box(5), black_box(24)));
     });

@@ -44,18 +44,19 @@ pub fn grab_probability(sigmas: &[u64], i: usize) -> f64 {
     assert!(i < sigmas.len(), "contender index out of range");
     assert!(sigmas.iter().all(|&s| s > 0), "σ must be positive");
     let sigma_i = sigmas[i];
+    // From τ = min_{j≠i} σⱼ on, some θᵢⱼ is zero and the term is exactly
+    // +0.0, so stopping before it leaves `p` unchanged bit for bit.
+    let rival_min = (0..sigmas.len())
+        .filter(|&j| j != i)
+        .map(|j| sigmas[j])
+        .min();
+    let last = rival_min.map_or(sigma_i, |m| sigma_i.min(m - 1));
     let mut p = 0.0;
-    for tau in 1..=sigma_i {
+    for tau in 1..=last {
         let mut others = 1.0;
         for (j, &sigma_j) in sigmas.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            if sigma_j > tau {
+            if j != i {
                 others *= (sigma_j - tau) as f64 / sigma_j as f64;
-            } else {
-                others = 0.0;
-                break;
             }
         }
         p += others / sigma_i as f64;
@@ -81,6 +82,12 @@ pub fn rts_collision_probability(sigmas: &[u64]) -> f64 {
 /// over contenders with the given delivery probabilities is at most
 /// `target`. Returns `cap` when even the cap misses the target.
 ///
+/// The scan runs from `τ_max = 1` up and decides each candidate exactly as
+/// `rts_collision_probability(σ) <= target` would: an O(n·σ_min)
+/// evaluation of γ settles it when it lies more than a certified margin
+/// from the target, and the reference decides otherwise. DESIGN.md § 6
+/// gives the identity and the rounding bound behind the margin.
+///
 /// # Panics
 ///
 /// Panics if `cap` is zero or `target` is outside `[0, 1]`.
@@ -91,13 +98,140 @@ pub fn optimize_tau_max(xis: &[f64], target: f64, cap: u64) -> u64 {
         (0.0..=1.0).contains(&target),
         "target {target} outside [0,1]"
     );
+    let mut search = TauSearch {
+        sigmas: Vec::with_capacity(xis.len()),
+    };
     for tau_max in 1..=cap {
-        let sigmas: Vec<u64> = xis.iter().map(|&xi| sigma(xi, tau_max)).collect();
-        if rts_collision_probability(&sigmas) <= target {
+        search.load(xis, tau_max);
+        if search.feasible(target) {
             return tau_max;
         }
     }
     cap
+}
+
+/// Distance from the target within which the fast γ does not decide Eq. 13
+/// feasibility and the reference [`rts_collision_probability`] does.
+const CERTIFIED_MARGIN: f64 = 1e-9;
+
+/// Largest σ for which every `σⱼ − τ` converts to `f64` exactly.
+const EXACT_SIGMA: u64 = 1 << 53;
+
+/// τ values the fast γ evaluates per block.
+const TAU_BLOCK: usize = 32;
+
+/// Working memory of one Eq. 13 search: the σ vector of the current τ_max,
+/// reused for every τ_max of the scan.
+#[derive(Debug)]
+struct TauSearch {
+    sigmas: Vec<u64>,
+}
+
+impl TauSearch {
+    /// Loads σ (Eq. 9) of every contender at `tau_max`.
+    fn load(&mut self, xis: &[f64], tau_max: u64) {
+        self.sigmas.clear();
+        self.sigmas.extend(xis.iter().map(|&xi| sigma(xi, tau_max)));
+    }
+
+    /// `rts_collision_probability(σ) <= target`, bit for bit.
+    fn feasible(&self, target: f64) -> bool {
+        self.fast_verdict(target)
+            .unwrap_or_else(|| rts_collision_probability(&self.sigmas) <= target)
+    }
+
+    /// The verdict of the fast γ, or `None` when it is within the
+    /// certified margin of `target` (or not certified at all).
+    fn fast_verdict(&self, target: f64) -> Option<bool> {
+        let gamma = self.fast_gamma()?;
+        if gamma > target + CERTIFIED_MARGIN {
+            Some(false)
+        } else if gamma < target - CERTIFIED_MARGIN {
+            Some(true)
+        } else {
+            None
+        }
+    }
+
+    /// γ of Eq. 12 over the loaded σ in O(n·m₁), m₁ = min σ, or `None`
+    /// when the rounding bound is not certified below half the margin.
+    ///
+    /// With Q(τ) = ∏ⱼ (σⱼ − τ)/σⱼ, the τ-th term of Σᵢ Pᵢ (Eqs. 10–11) is
+    /// Q(τ)·Σᵢ 1/(σᵢ − τ) for τ < m₁. At τ = m₁ only a unique minimum `a`
+    /// can win, with (1/m₁)·∏_{j≠a} (σⱼ − m₁)/σⱼ; beyond m₁ every term is
+    /// 0.
+    ///
+    /// Rounding (u = 2⁻⁵³, γₖ = ku/(1 − ku), all terms non-negative and
+    /// the true Σᵢ Pᵢ ≤ 1): each τ-term here carries at most 4n roundings
+    /// (2 per factor of Q, n − 1 products, n in Σ 1/(σᵢ − τ), 1 for the
+    /// product), and m₁ − 1 more come from summing the at most m₁ terms,
+    /// so |γ_fast − γ| ≤ γ_{4n+m₁−1} + u. The reference adds at most m₁
+    /// non-zero terms of 2n − 2 roundings each per Pᵢ and sums n of them:
+    /// |γ_ref − γ| ≤ γ_{3n+m₁−4} + u. Hence
+    /// |γ_fast − γ_ref| ≤ γ_{7n+2m₁−3}, about 1.6·10⁻¹⁴ at n = 12 and
+    /// m₁ = 32. Gradual underflow adds at most 2⁻¹⁰⁷⁵ per product or
+    /// quotient, scaled by at most n: below 10⁻³⁰⁰ for any certified n and
+    /// m₁. The bound is required to be at most half the margin, which also
+    /// absorbs the rounding of `target ± margin`, so a fast verdict always
+    /// agrees with the reference's. σ above 2⁵³ is never certified, so
+    /// every σⱼ − τ is exact.
+    fn fast_gamma(&self) -> Option<f64> {
+        let n = self.sigmas.len();
+        if n <= 1 {
+            return Some(0.0);
+        }
+        let (mut m1, mut argmin, mut unique, mut max) = (u64::MAX, 0, false, 0);
+        for (j, &s) in self.sigmas.iter().enumerate() {
+            if s < m1 {
+                (m1, argmin, unique) = (s, j, true);
+            } else if s == m1 {
+                unique = false;
+            }
+            max = max.max(s);
+        }
+        if max > EXACT_SIGMA {
+            return None;
+        }
+        let ku = (7 * n as u64 + 2 * m1 - 3) as f64 * f64::EPSILON / 2.0;
+        if ku / (1.0 - ku) > CERTIFIED_MARGIN / 2.0 {
+            return None;
+        }
+        let mut total = 0.0;
+        // τ runs over 1..m₁ in blocks, σ in the outer loop: the per-τ
+        // products and sums are independent, so the inner loop pipelines.
+        let mut tau0 = 1;
+        while tau0 < m1 {
+            let len = (m1 - tau0).min(TAU_BLOCK as u64) as usize;
+            let mut taus = [0.0; TAU_BLOCK];
+            for (k, t) in taus[..len].iter_mut().enumerate() {
+                *t = (tau0 + k as u64) as f64;
+            }
+            let mut q = [1.0; TAU_BLOCK];
+            let mut inv_sum = [0.0; TAU_BLOCK];
+            for &s in &self.sigmas {
+                let (s, r) = (s as f64, 1.0 / s as f64);
+                for k in 0..len {
+                    let d = s - taus[k];
+                    q[k] *= d * r;
+                    inv_sum[k] += 1.0 / d;
+                }
+            }
+            for k in 0..len {
+                total += q[k] * inv_sum[k];
+            }
+            tau0 += len as u64;
+        }
+        if unique {
+            let mut q = 1.0 / m1 as f64;
+            for (j, &s) in self.sigmas.iter().enumerate() {
+                if j != argmin {
+                    q *= (s - m1) as f64 * (1.0 / s as f64);
+                }
+            }
+            total += q;
+        }
+        Some(1.0 - total)
+    }
 }
 
 /// γₒ of Eq. 14: the probability that `n` repliers choosing uniformly
@@ -251,6 +385,105 @@ mod tests {
     fn optimize_tau_max_returns_cap_when_impossible() {
         // Two ξ=0 contenders always collide (σ=1 each) regardless of τ_max.
         assert_eq!(optimize_tau_max(&[0.0, 0.0], 0.1, 16), 16);
+    }
+
+    /// `grab_probability` before the τ loop was pruned, verbatim.
+    fn unpruned_grab_probability(sigmas: &[u64], i: usize) -> f64 {
+        let sigma_i = sigmas[i];
+        let mut p = 0.0;
+        for tau in 1..=sigma_i {
+            let mut others = 1.0;
+            for (j, &sigma_j) in sigmas.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                if sigma_j > tau {
+                    others *= (sigma_j - tau) as f64 / sigma_j as f64;
+                } else {
+                    others = 0.0;
+                    break;
+                }
+            }
+            p += others / sigma_i as f64;
+        }
+        p
+    }
+
+    /// Every σ vector of length 1..=`max_n` with entries in 1..=`max_sigma`.
+    fn all_sigma_vectors(max_n: usize, max_sigma: u64) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        let mut layer: Vec<Vec<u64>> = vec![Vec::new()];
+        for _ in 0..max_n {
+            layer = layer
+                .iter()
+                .flat_map(|v| {
+                    (1..=max_sigma).map(move |s| {
+                        let mut next = v.clone();
+                        next.push(s);
+                        next
+                    })
+                })
+                .collect();
+            out.extend(layer.iter().cloned());
+        }
+        out
+    }
+
+    fn loaded(sigmas: &[u64]) -> TauSearch {
+        TauSearch {
+            sigmas: sigmas.to_vec(),
+        }
+    }
+
+    #[test]
+    fn pruned_grab_probability_is_bit_identical() {
+        for sigmas in all_sigma_vectors(4, 12) {
+            for i in 0..sigmas.len() {
+                assert_eq!(
+                    grab_probability(&sigmas, i).to_bits(),
+                    unpruned_grab_probability(&sigmas, i).to_bits(),
+                    "σ={sigmas:?} i={i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_gamma_matches_the_reference() {
+        for sigmas in all_sigma_vectors(4, 16) {
+            let fast = loaded(&sigmas).fast_gamma().expect("certified");
+            let reference = rts_collision_probability(&sigmas);
+            assert!(
+                (fast - reference).abs() <= 1e-12,
+                "σ={sigmas:?}: fast {fast} vs reference {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn target_at_the_reference_gamma_takes_the_fallback() {
+        for sigmas in [
+            vec![3u64, 5, 8],
+            vec![4, 4],
+            vec![1, 7, 7, 9],
+            vec![2, 2, 2],
+        ] {
+            let target = rts_collision_probability(&sigmas);
+            let search = loaded(&sigmas);
+            assert_eq!(search.fast_verdict(target), None, "σ={sigmas:?}");
+            assert!(search.feasible(target), "σ={sigmas:?}");
+            let below = target - 1e-15;
+            if below >= 0.0 {
+                assert_eq!(search.fast_verdict(below), None);
+                assert!(!search.feasible(below), "σ={sigmas:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn uncertified_inputs_fall_back() {
+        assert_eq!(loaded(&[EXACT_SIGMA + 1, 2]).fast_gamma(), None);
+        assert_eq!(loaded(&[1 << 30, 1 << 30]).fast_gamma(), None);
     }
 
     #[test]

@@ -85,14 +85,32 @@ impl NeighborTable {
     /// deterministic (node-id) order.
     #[must_use]
     pub fn fresh_xis(&self, now: SimTime, ttl: SimDuration) -> Vec<f64> {
-        let mut fresh: Vec<(NodeId, f64)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.last_seen) <= ttl)
-            .map(|(&id, e)| (id, e.xi))
-            .collect();
-        fresh.sort_by_key(|&(id, _)| id);
-        fresh.into_iter().map(|(_, xi)| xi).collect()
+        let mut xis = Vec::new();
+        self.fresh_xis_into(now, ttl, &mut Vec::new(), &mut xis);
+        xis
+    }
+
+    /// [`Self::fresh_xis`] into `xis` (cleared first), sorting through
+    /// `pairs`: reused buffers make the call allocation-free.
+    pub(crate) fn fresh_xis_into(
+        &self,
+        now: SimTime,
+        ttl: SimDuration,
+        pairs: &mut Vec<(NodeId, f64)>,
+        xis: &mut Vec<f64>,
+    ) {
+        pairs.clear();
+        pairs.extend(
+            self.entries
+                .iter()
+                .filter(|(_, e)| now.saturating_since(e.last_seen) <= ttl)
+                .map(|(&id, e)| (id, e.xi)),
+        );
+        // Ids are unique keys, so the unstable sort (which, unlike the
+        // stable one, never allocates) gives the one id order.
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        xis.clear();
+        xis.extend(pairs.iter().map(|&(_, xi)| xi));
     }
 
     /// How many fresh neighbors advertise a ξ strictly above `own_xi` —

@@ -144,6 +144,10 @@ struct CycleScratch {
     sel: SelectionScratch,
     /// ξ of the receivers whose ACK arrived (Eqs. 1/3 inputs).
     confirmed_xis: Vec<f64>,
+    /// Fresh neighbour (id, ξ) pairs being put in id order (Eq. 13 input).
+    xi_pairs: Vec<(NodeId, f64)>,
+    /// The Eq. 13 contenders' ξ: fresh neighbours in id order, then self.
+    tau_xis: Vec<f64>,
     /// Retired `Selection`s awaiting reuse.
     selections: Vec<Selection>,
     /// Retired CTS candidate lists awaiting reuse.
@@ -170,6 +174,8 @@ impl CycleScratch {
         s.ids.reserve(k);
         s.mat.reserve(4 * k);
         s.confirmed_xis.reserve(k);
+        s.xi_pairs.reserve(k);
+        s.tau_xis.reserve(k + 1);
         for _ in 0..POOL {
             s.selections.push(Selection::default());
             s.candidate_bufs.push(Vec::with_capacity(k));
@@ -630,6 +636,10 @@ pub struct Simulation {
     deliveries: Vec<DeliveryRecord>,
 
     scratch: CycleScratch,
+    /// Memo of Eq. 14's window per expected replier count n̂ (0 = not
+    /// searched yet; a window is at least one slot). Target and cap are
+    /// fixed for the run, so the answer depends on n̂ alone.
+    cts_windows: Vec<u32>,
     trace: Option<Box<dyn TraceSink>>,
     /// The attached metrics recorder, if any. Trace events reach it through
     /// `trace` (composed with any user sink by the builder); this handle
@@ -1112,6 +1122,7 @@ impl Simulation {
             metrics,
             deliveries: Vec::new(),
             scratch: CycleScratch::seeded(k),
+            cts_windows: Vec::new(),
             trace: None,
             observer: None,
             observe_ticks: 0,
@@ -2438,10 +2449,13 @@ impl Simulation {
         }
         let node = &self.nodes[i.index()];
         let ttl = SimDuration::from_secs_f64(self.protocol.neighbor_ttl_secs);
-        let mut xis = node.table.fresh_xis(now, ttl);
-        xis.push(node.metric.value());
+        let CycleScratch {
+            xi_pairs, tau_xis, ..
+        } = &mut self.scratch;
+        node.table.fresh_xis_into(now, ttl, xi_pairs, tau_xis);
+        tau_xis.push(node.metric.value());
         let tau = optimize_tau_max(
-            &xis,
+            tau_xis,
             self.protocol.tau_collision_target,
             self.protocol.tau_max_cap_slots,
         );
@@ -2450,8 +2464,10 @@ impl Simulation {
     }
 
     /// Contention window for node `i`: Eq. 14 over the expected replier
-    /// count, or the fixed NOOPT value.
-    fn window_for(&self, now: SimTime, i: NodeId) -> u32 {
+    /// count, or the fixed NOOPT value. The search runs once per n̂; every
+    /// n̂ > cap shares the row of cap + 1, since with more repliers than
+    /// slots γₒ = 1 for each window up to the cap.
+    fn window_for(&mut self, now: SimTime, i: NodeId) -> u32 {
         if !self.mac.adaptive_window {
             return self.protocol.cts_window_fixed as u32;
         }
@@ -2459,12 +2475,17 @@ impl Simulation {
         let ttl = SimDuration::from_secs_f64(self.protocol.neighbor_ttl_secs);
         // Expected repliers: fresh higher-metric neighbors, plus one for a
         // possibly-unknown sink in range.
-        let n_hat = (node.table.qualified_count(node.metric.value(), now, ttl) as u64 + 1).max(1);
-        optimize_cts_window(
-            n_hat,
-            self.protocol.cts_collision_target,
-            self.protocol.cts_window_cap,
-        ) as u32
+        let n_hat = node.table.qualified_count(node.metric.value(), now, ttl) as u64 + 1;
+        let cap = self.protocol.cts_window_cap;
+        let row = n_hat.min(cap.saturating_add(1)) as usize;
+        if row >= self.cts_windows.len() {
+            self.cts_windows.resize(row + 1, 0);
+        }
+        if self.cts_windows[row] == 0 {
+            self.cts_windows[row] =
+                optimize_cts_window(row as u64, self.protocol.cts_collision_target, cap) as u32;
+        }
+        self.cts_windows[row]
     }
 
     // ------------------------------------------------------------------
@@ -3478,6 +3499,33 @@ mod tests {
             sim.nodes[i.index()].cached_tau.unwrap().0,
             t0 + SimDuration::from_secs(60)
         );
+    }
+
+    #[test]
+    fn adaptive_window_is_the_eq14_search_for_every_replier_count() {
+        let now = SimTime::from_secs(5);
+        for (cap, target) in [(8u64, 0.1), (8, 1.0), (32, 0.1), (32, 0.0)] {
+            let mut protocol = ProtocolParams::paper_default();
+            protocol.cts_window_cap = cap;
+            protocol.cts_collision_target = target;
+            let mut sim = Simulation::builder(tiny(), ProtocolKind::Opt)
+                .protocol(protocol)
+                .seed(1)
+                .build();
+            let i = NodeId(0);
+            // n̂ = qualified neighbours + 1 runs over 1..=2·cap + 1.
+            for n_hat in 1..=2 * cap + 1 {
+                if n_hat > 1 {
+                    let k = NodeId(n_hat as usize);
+                    sim.nodes[i.index()].table.observe(k, 1.0, SimTime::ZERO);
+                }
+                assert_eq!(
+                    u64::from(sim.window_for(now, i)),
+                    optimize_cts_window(n_hat, target, cap),
+                    "n̂={n_hat} cap={cap} target={target}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -153,13 +153,20 @@ proptest! {
         }
     }
 
-    /// Eq. 13's result is feasible (or the cap) and minimal.
+    /// Eq. 13's result is feasible (or the cap), minimal, and exactly the
+    /// reference linear scan's, for up to 12 contenders including clusters
+    /// with ξ < 1/64 (σ pinned at 1 for every τ_max ≤ 64).
     #[test]
     fn tau_optimizer_minimal_and_feasible(
-        xis in proptest::collection::vec(prob(), 1..5),
-        target in 1u32..50,
+        xis in proptest::collection::vec(
+            (any::<bool>(), 0u32..=1000, 0u32..16).prop_map(|(tiny, x, t)| {
+                if tiny { f64::from(t) / 1024.0 } else { f64::from(x) / 1000.0 }
+            }),
+            1..13,
+        ),
+        target in 0u32..=100,
     ) {
-        let target = target as f64 / 100.0;
+        let target = f64::from(target) / 100.0;
         let cap = 64;
         let best = optimize_tau_max(&xis, target, cap);
         prop_assert!((1..=cap).contains(&best));
@@ -167,6 +174,8 @@ proptest! {
             let s: Vec<u64> = xis.iter().map(|&x| sigma(x, t)).collect();
             rts_collision_probability(&s)
         };
+        let scan = (1..=cap).find(|&t| gamma_at(t) <= target).unwrap_or(cap);
+        prop_assert_eq!(best, scan);
         if best < cap {
             prop_assert!(gamma_at(best) <= target);
         }
