@@ -10,6 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> single-threaded engine guard (no threads in sim, radio, mobility, core)"
+# Runs are single-threaded; parallelism lives across runs in bench::sweep.
+if grep -rnE 'std::thread|thread::(scope|spawn)' crates/{sim,radio,mobility,core}/src; then
+    echo "single-threaded engine guard: thread use found in an engine crate"; exit 1
+fi
+
 echo "==> tier-1 tests (release build + root test suite)"
 cargo build --release
 cargo test -q
@@ -79,12 +85,6 @@ set -e
 grep -qi 'checksum\|corrupt' target/ci_ckpt_bad.err \
     || { echo "corrupt checkpoint gate: no diagnostic on stderr"; exit 1; }
 
-echo "==> shard-parity gate (N-shard scale cell must be bit-identical to 1-shard)"
-cargo run --release -q -p dftmsn-bench --bin shard_parity
-
-echo "==> thread-parity gate (parallel interval executor must be bit-identical to sequential)"
-cargo run --release -q -p dftmsn-bench --bin thread_parity
-
 echo "==> policy-parity gate (builtin variants bit-identical through the trait; policy goldens)"
 cargo test --release -q --test policy_parity
 cargo run --release -q -p dftmsn-cli -- run --policy twohop:budget=3 \
@@ -119,13 +119,8 @@ cargo run --release -q -p dftmsn-bench --bin api_surface -- --check
 echo "==> docs build cleanly (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> perf baseline smoke + executor speedup gate (--quick --scale --speedup-check)"
-# --speedup-check: on a host with enough cores, the best ticked threads>1
-# cell must clear 1.5x sequential throughput; on smaller hosts scaling is
-# unfalsifiable and the gate records lower bounds and passes. Escape
-# hatch for legitimately noisy multicore hosts: SPEEDUP_CHECK_WARN_ONLY=1.
+echo "==> perf baseline smoke (--quick --scale)"
 cargo run --release -p dftmsn-bench --bin perf_baseline -- --quick --scale \
-    --speedup-check ${SPEEDUP_CHECK_WARN_ONLY:+--warn-only} \
     --out target/BENCH_engine.quick.json
 
 echo "==> scale-tier regression gate (failing; >25% ns/event over committed BENCH_engine.json)"

@@ -20,7 +20,7 @@ pub struct ExperimentOpts {
     pub seeds: u64,
     /// Simulated seconds per run.
     pub duration_secs: u64,
-    /// Worker threads (0 = all cores).
+    /// Runs executed in parallel (0 = one per core).
     pub threads: usize,
 }
 
@@ -45,32 +45,48 @@ impl ExperimentOpts {
         }
     }
 
-    /// Parses `--quick`, `--seeds N`, `--duration S`, `--threads N` from
-    /// the process arguments; defaults to [`ExperimentOpts::full`].
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+    /// Usage line of the flags [`parse`](Self::parse) understands.
+    const USAGE: &'static str = "[--quick] [--seeds N] [--duration SECS] [--threads N]";
+
+    /// Parses the flags of [`USAGE`](Self::USAGE) out of `args`, the
+    /// arguments after the program name; other arguments are left to the
+    /// binary. The error names the flag whose value is missing or not a
+    /// whole number.
+    fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = if args.iter().any(|a| a == "--quick") {
             Self::quick()
         } else {
             Self::full()
         };
-        let grab = |flag: &str| -> Option<u64> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-        };
-        if let Some(s) = grab("--seeds") {
-            opts.seeds = s.max(1);
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            if !matches!(flag.as_str(), "--seeds" | "--duration" | "--threads") {
+                continue;
+            }
+            let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            let n: u64 = value
+                .parse()
+                .map_err(|_| format!("{flag} expects a whole number, got '{value}'"))?;
+            match flag.as_str() {
+                "--seeds" => opts.seeds = n.max(1),
+                "--duration" => opts.duration_secs = n.max(1),
+                _ => opts.threads = n as usize,
+            }
         }
-        if let Some(d) = grab("--duration") {
-            opts.duration_secs = d.max(1);
-        }
-        if let Some(t) = grab("--threads") {
-            opts.threads = t as usize;
-        }
-        opts
+        Ok(opts)
+    }
+
+    /// Parses `--quick`, `--seeds N`, `--duration SECS` and `--threads N`
+    /// (runs executed in parallel) from the process arguments; defaults to
+    /// [`ExperimentOpts::full`]. A missing or malformed value prints the
+    /// flag and the usage line and exits with status 2.
+    #[must_use]
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {}", Self::USAGE);
+            std::process::exit(2)
+        })
     }
 }
 
@@ -343,6 +359,56 @@ pub fn write_table(dir: &str, slug: &str, table: &Table) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn experiment_flags_parse_over_the_defaults() {
+        let full = ExperimentOpts::parse(&args(&[])).unwrap();
+        assert_eq!(
+            (full.seeds, full.duration_secs, full.threads),
+            (3, 25_000, 0)
+        );
+        let opts = ExperimentOpts::parse(&args(&[
+            "--quick",
+            "--seeds",
+            "5",
+            "--duration",
+            "1500",
+            "--threads",
+            "2",
+            "--fresh",
+        ]))
+        .unwrap();
+        assert_eq!(
+            (opts.seeds, opts.duration_secs, opts.threads),
+            (5, 1_500, 2)
+        );
+        let quick = ExperimentOpts::parse(&args(&["--quick"])).unwrap();
+        assert_eq!(quick.seeds, ExperimentOpts::quick().seeds);
+    }
+
+    #[test]
+    fn experiment_flags_reject_missing_values() {
+        for flag in ["--seeds", "--duration", "--threads"] {
+            let err = ExperimentOpts::parse(&args(&["--quick", flag])).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn experiment_flags_reject_garbage_values() {
+        for (flag, value) in [
+            ("--seeds", "two"),
+            ("--duration", "1e3"),
+            ("--threads", "-1"),
+        ] {
+            let err = ExperimentOpts::parse(&args(&[flag, value])).unwrap_err();
+            assert_eq!(err, format!("{flag} expects a whole number, got '{value}'"));
+        }
+    }
 
     #[test]
     fn optimization_tables_have_expected_shape() {

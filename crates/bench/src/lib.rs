@@ -14,8 +14,8 @@
 //! | `scale_check` | warn-only scale-tier guard vs `BENCH_engine.json` |
 //!
 //! All binaries accept `--quick` (short runs), `--seeds N`,
-//! `--duration SECS` and `--threads N`, and write text + CSV tables under
-//! `results/`.
+//! `--duration SECS` and `--threads N` (runs executed in parallel), and
+//! write text + CSV tables under `results/`.
 //!
 //! The Criterion benches (`cargo bench`) cover the protocol math, queue
 //! operations, the substrates, and short end-to-end simulations.

@@ -1480,10 +1480,7 @@ impl Simulation {
             }
             pending.push((at, ev));
         }
-        // Restored runs always come up single-lane: the shard count is an
-        // execution knob, not state, so it is never serialized. Callers
-        // re-shard with `set_shards` after resume if they want parallelism.
-        sim.events = ShardedEventQueue::restore(1, now, popped, pending, |_| 0);
+        sim.events = EventQueue::restore(now, popped, pending);
 
         sim.observe_ticks = r.u64()?;
         sim.global_link_drop = r.f64()?;
@@ -1564,9 +1561,6 @@ impl Simulation {
                 let b = NodeBehavior::from_tag(tag)
                     .ok_or_else(|| CkptError::corrupt(format!("bad NodeBehavior tag {tag}")))?;
                 sim.behaviors.set(i, b);
-                if b.is_adversarial() {
-                    sim.par.occupied[i] = true;
-                }
             }
             sim.metrics.faults.behavior_changes = r.u64()?;
             sim.metrics.faults.copies_captured = r.u64()?;

@@ -340,17 +340,14 @@ fn adversarial_runs_resume_bit_identically() {
 }
 
 #[test]
-fn parallel_faulted_runs_checkpoint_and_resume_bit_identically() {
-    // A checkpoint taken at an interval boundary of the parallel executor
-    // (threads > 1 drives `advance` through whole event intervals) must
-    // resume into the exact bit-stream of an uninterrupted sequential
-    // run, faults included. The thread count — like the shard count — is
-    // never serialized; restored sims come up single-threaded and opt
-    // back in.
+fn faulted_runs_checkpoint_mid_run_and_resume_bit_identically() {
+    // An OPT run under a crash/recover plan, stepped to the first event
+    // boundary at or past 300 s and checkpointed there, must resume into
+    // the exact bit-stream of the uninterrupted run, faults included.
     let scenario = scenario();
     let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
     for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        let label = format!("parallel faulted OPT {mode:?}");
+        let label = format!("faulted OPT {mode:?}");
 
         let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
             .seed(5)
@@ -364,24 +361,17 @@ fn parallel_faulted_runs_checkpoint_and_resume_bit_identically() {
             .seed(5)
             .mobility_mode(mode)
             .faults(plan.clone())
-            .threads(8)
             .build();
         while part.now().as_secs_f64() < 300.0 {
-            if !part.advance() {
+            if !part.step() {
                 break;
             }
         }
         let bytes = part.checkpoint_bytes();
         drop(part);
 
-        let (mut resumed_sim, _) =
+        let (resumed_sim, _) =
             Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(
-            resumed_sim.threads(),
-            1,
-            "{label}: thread count leaked into the checkpoint"
-        );
-        resumed_sim.set_threads(8);
         let resumed = resumed_sim.run();
         assert_eq!(
             golden(&resumed),
