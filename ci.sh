@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 test suite, and a perf
-# smoke run. Everything here must pass before a change lands.
+# Local CI gate: formatting, lints, the tier-1 test suite, and a
+# benchmark smoke run. Everything here must pass before a change lands.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -119,14 +119,15 @@ cargo run --release -q -p dftmsn-bench --bin api_surface -- --check
 echo "==> docs build cleanly (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> perf baseline smoke (--quick --scale)"
-cargo run --release -p dftmsn-bench --bin perf_baseline -- --quick --scale \
-    --out target/BENCH_engine.quick.json
-
-echo "==> scale-tier regression gate (failing; >25% ns/event over committed BENCH_engine.json)"
-# Escape hatch for hardware that legitimately differs from the machine
-# behind the committed baseline: SCALE_CHECK_WARN_ONLY=1 ./ci.sh
-cargo run --release -p dftmsn-bench --bin scale_check -- \
-    ${SCALE_CHECK_WARN_ONLY:+--warn-only}
+echo "==> benchmark smoke (perfbench unit tests; every workload runs and checks its outputs)"
+# Correctness only: the minimum three timed batches per workload. Performance
+# is compared same-host, parent against change, with perfbench's --compare.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
+    --manifest-path perfbench/Cargo.toml
+for w in paper scale sweep; do
+    last=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 0 --trace 0 | tail -n 1)
+    { echo "$last" | grep -q '"correct":true' && echo "$last" | grep -q '"failed":0'; } \
+        || { echo "benchmark smoke: $w is not correct: $last"; exit 1; }
+done
 
 echo "CI OK"

@@ -46,12 +46,17 @@ impl ExperimentOpts {
     }
 
     /// Usage line of the flags [`parse`](Self::parse) understands.
-    const USAGE: &'static str = "[--quick] [--seeds N] [--duration SECS] [--threads N]";
+    const USAGE: &'static str =
+        "[--quick] [--seeds N] [--duration SECS] [--threads N] [--fresh] [--observe]";
+
+    /// Flags that only some binaries act on and read themselves: `--fresh`
+    /// (`fault_sweep`, `adversary_sweep`) and `--observe` (`fault_sweep`).
+    const BINARY_FLAGS: [&'static str; 2] = ["--fresh", "--observe"];
 
     /// Parses the flags of [`USAGE`](Self::USAGE) out of `args`, the
-    /// arguments after the program name; other arguments are left to the
-    /// binary. The error names the flag whose value is missing or not a
-    /// whole number.
+    /// arguments after the program name. The error names the flag that is
+    /// unknown, lacks a value, or has a value that is not a whole number
+    /// (at least 1 for `--seeds` and `--duration`).
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = if args.iter().any(|a| a == "--quick") {
             Self::quick()
@@ -60,17 +65,22 @@ impl ExperimentOpts {
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            if !matches!(flag.as_str(), "--seeds" | "--duration" | "--threads") {
+            let flag = flag.as_str();
+            if flag == "--quick" || Self::BINARY_FLAGS.contains(&flag) {
                 continue;
+            }
+            if !matches!(flag, "--seeds" | "--duration" | "--threads") {
+                return Err(format!("unknown argument '{flag}'"));
             }
             let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
             let n: u64 = value
                 .parse()
                 .map_err(|_| format!("{flag} expects a whole number, got '{value}'"))?;
-            match flag.as_str() {
-                "--seeds" => opts.seeds = n.max(1),
-                "--duration" => opts.duration_secs = n.max(1),
-                _ => opts.threads = n as usize,
+            match flag {
+                "--threads" => opts.threads = n as usize,
+                _ if n == 0 => return Err(format!("{flag} must be at least 1")),
+                "--seeds" => opts.seeds = n,
+                _ => opts.duration_secs = n,
             }
         }
         Ok(opts)
@@ -78,8 +88,9 @@ impl ExperimentOpts {
 
     /// Parses `--quick`, `--seeds N`, `--duration SECS` and `--threads N`
     /// (runs executed in parallel) from the process arguments; defaults to
-    /// [`ExperimentOpts::full`]. A missing or malformed value prints the
-    /// flag and the usage line and exits with status 2.
+    /// [`ExperimentOpts::full`]. An unknown flag or a missing, malformed or
+    /// zero value prints the flag and the usage line and exits with
+    /// status 2.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -380,6 +391,7 @@ mod tests {
             "--threads",
             "2",
             "--fresh",
+            "--observe",
         ]))
         .unwrap();
         assert_eq!(
@@ -407,6 +419,18 @@ mod tests {
         ] {
             let err = ExperimentOpts::parse(&args(&[flag, value])).unwrap_err();
             assert_eq!(err, format!("{flag} expects a whole number, got '{value}'"));
+        }
+        for flag in ["--seeds", "--duration"] {
+            let err = ExperimentOpts::parse(&args(&[flag, "0"])).unwrap_err();
+            assert_eq!(err, format!("{flag} must be at least 1"));
+        }
+        for (list, bad) in [
+            (&["--seed", "10"][..], "--seed"),
+            (&["--quick", "--sedes", "10"][..], "--sedes"),
+            (&["10"][..], "10"),
+        ] {
+            let err = ExperimentOpts::parse(&args(list)).unwrap_err();
+            assert_eq!(err, format!("unknown argument '{bad}'"));
         }
     }
 

@@ -10,15 +10,16 @@
 //! | `speed` | Prose-B: nodal-speed sweep |
 //! | `opt_tables` | Opt-1/2/3: Sec. 4 analytic optimization tables |
 //! | `ablation` | Abl-1: per-optimization ablation |
-//! | `perf_baseline` | tracked engine/sweep/scale throughput baseline |
-//! | `scale_check` | warn-only scale-tier guard vs `BENCH_engine.json` |
 //!
 //! All binaries accept `--quick` (short runs), `--seeds N`,
-//! `--duration SECS` and `--threads N` (runs executed in parallel), and
-//! write text + CSV tables under `results/`.
+//! `--duration SECS` and `--threads N` (runs executed in parallel), reject
+//! any flag they do not read, and write text + CSV tables under `results/`.
 //!
 //! The Criterion benches (`cargo bench`) cover the protocol math, queue
-//! operations, the substrates, and short end-to-end simulations.
+//! operations, the substrates, and short end-to-end simulations. The
+//! simulator's end-to-end and per-layer performance is measured by the
+//! repository's benchmark, `perfbench/` (see `perfbench/README.md`),
+//! which builds on [`scale::scale_scenario`] and [`sweep::run_all_with`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,5 +29,4 @@ pub mod scale;
 pub mod sweep;
 
 pub use experiments::ExperimentOpts;
-pub use scale::{scale_scenario, ScaleRow, SCALE_SENSORS};
 pub use sweep::{average, run_all, Averaged, RunSpec};

@@ -21,10 +21,11 @@
 //!   per-node sink inter-contact-rate estimator.
 //!
 //! Dispatch is static: the sealed [`Policy`] enum-of-impls costs one
-//! predictable branch per decision, which the `scale_check` CI gate
-//! verifies stays inside the ns/event budget. Checkpoints carry the
-//! policy as a trailing frame of `dftmsn-ckpt/1` (see `world_ckpt.rs`);
-//! pre-seam checkpoints decode as [`Policy::builtin`].
+//! predictable branch per decision; the benchmark's same-host comparison
+//! of a change against its parent (`perfbench/`) guards that cost.
+//! Checkpoints carry the policy as a trailing frame of `dftmsn-ckpt/1`
+//! (see `world_ckpt.rs`); pre-seam checkpoints decode as
+//! [`Policy::builtin`].
 
 use crate::delivery::DeliveryProb;
 use crate::ftd::Ftd;

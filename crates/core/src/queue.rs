@@ -6,8 +6,12 @@
 //! threshold are purged outright.
 //!
 //! Ties on FTD break by message id, which makes equal-importance messages
-//! FIFO; baselines that ignore FTD (ZBR, epidemic) insert everything with
-//! FTD 0 and get a plain FIFO drop-tail queue out of the same structure.
+//! FIFO. Every variant uses this one queue. EPIDEMIC and DIRECT only ever
+//! queue copies with FTD 0, so for them it reduces to a drop-tail queue in
+//! message-id order. ZBR does not: its single-copy handoff stamps the
+//! moved copy with Eq. 2's `1 − (1 − F)(1 − ξ_sender)`, so ZBR queues are
+//! ordered by FTD (a deviation from ZebraNet's FIFO queue, recorded in
+//! EXPERIMENTS.md).
 
 use crate::ftd::Ftd;
 use crate::message::{Message, MessageId};

@@ -38,15 +38,6 @@ pub enum SelectionKind {
     SinkOnly,
 }
 
-/// How the data queue is managed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueueDiscipline {
-    /// FTD-sorted with threshold purge (Sec. 3.1.2).
-    Ftd,
-    /// Plain FIFO drop-tail (baselines without FTD).
-    Fifo,
-}
-
 /// The four implementations compared in Fig. 2 plus two extra baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ProtocolKind {
@@ -108,7 +99,6 @@ impl ProtocolKind {
                 adaptive_window: true,
                 metric: MetricKind::DeliveryProb,
                 selection: SelectionKind::FtdThreshold,
-                queue: QueueDiscipline::Ftd,
             },
             ProtocolKind::NoOpt => VariantConfig {
                 kind: self,
@@ -118,7 +108,6 @@ impl ProtocolKind {
                 adaptive_window: false,
                 metric: MetricKind::DeliveryProb,
                 selection: SelectionKind::FtdThreshold,
-                queue: QueueDiscipline::Ftd,
             },
             ProtocolKind::NoSleep => VariantConfig {
                 kind: self,
@@ -128,7 +117,6 @@ impl ProtocolKind {
                 adaptive_window: true,
                 metric: MetricKind::DeliveryProb,
                 selection: SelectionKind::FtdThreshold,
-                queue: QueueDiscipline::Ftd,
             },
             ProtocolKind::Zbr => VariantConfig {
                 kind: self,
@@ -138,7 +126,6 @@ impl ProtocolKind {
                 adaptive_window: true,
                 metric: MetricKind::SinkHistory,
                 selection: SelectionKind::SingleBest,
-                queue: QueueDiscipline::Fifo,
             },
             ProtocolKind::Direct => VariantConfig {
                 kind: self,
@@ -148,7 +135,6 @@ impl ProtocolKind {
                 adaptive_window: true,
                 metric: MetricKind::DeliveryProb,
                 selection: SelectionKind::SinkOnly,
-                queue: QueueDiscipline::Fifo,
             },
             ProtocolKind::Epidemic => VariantConfig {
                 kind: self,
@@ -158,7 +144,6 @@ impl ProtocolKind {
                 adaptive_window: true,
                 metric: MetricKind::DeliveryProb,
                 selection: SelectionKind::AllResponders,
-                queue: QueueDiscipline::Fifo,
             },
         }
     }
@@ -199,8 +184,6 @@ pub struct VariantConfig {
     pub metric: MetricKind,
     /// Receiver-selection rule.
     pub selection: SelectionKind,
-    /// Queue discipline.
-    pub queue: QueueDiscipline,
 }
 
 impl VariantConfig {
@@ -250,7 +233,6 @@ mod tests {
         let c = ProtocolKind::Opt.config();
         assert!(c.sleeps && c.adaptive_sleep && c.adaptive_tau && c.adaptive_window);
         assert_eq!(c.selection, SelectionKind::FtdThreshold);
-        assert_eq!(c.queue, QueueDiscipline::Ftd);
     }
 
     #[test]
@@ -275,7 +257,6 @@ mod tests {
         let c = ProtocolKind::Zbr.config();
         assert_eq!(c.metric, MetricKind::SinkHistory);
         assert_eq!(c.selection, SelectionKind::SingleBest);
-        assert_eq!(c.queue, QueueDiscipline::Fifo);
     }
 
     #[test]

@@ -44,7 +44,6 @@ use crate::observe::{ObserveRow, RecorderState, WindowCounters};
 use crate::queue::FtdQueue;
 use crate::report::FaultCounters;
 use crate::sleep::SleepController;
-use crate::variants::QueueDiscipline;
 use crate::variants::{MetricKind, SelectionKind};
 use dftmsn_metrics::histogram::Histogram;
 use dftmsn_metrics::stats::RunningStats;
@@ -667,10 +666,8 @@ fn w_config(w: &mut SnapWriter, c: &VariantConfig) {
         SelectionKind::AllResponders => 2,
         SelectionKind::SinkOnly => 3,
     });
-    w.u8(match c.queue {
-        QueueDiscipline::Ftd => 0,
-        QueueDiscipline::Fifo => 1,
-    });
+    // Retired queue-discipline byte, still written so checkpoint bytes stay put.
+    w.u8(u8::from(c.selection != SelectionKind::FtdThreshold));
 }
 
 fn r_config(r: &mut SnapReader) -> Result<VariantConfig, SnapError> {
@@ -699,11 +696,11 @@ fn r_config(r: &mut SnapReader) -> Result<VariantConfig, SnapError> {
         3 => SelectionKind::SinkOnly,
         t => return Err(SnapError::new(format!("bad SelectionKind tag {t}"))),
     };
-    let queue = match r.u8()? {
-        0 => QueueDiscipline::Ftd,
-        1 => QueueDiscipline::Fifo,
-        t => return Err(SnapError::new(format!("bad QueueDiscipline tag {t}"))),
-    };
+    // Retired queue-discipline byte (see `w_config`).
+    let t = r.u8()?;
+    if t > 1 {
+        return Err(SnapError::new(format!("bad queue-discipline tag {t}")));
+    }
     Ok(VariantConfig {
         kind,
         sleeps,
@@ -712,7 +709,6 @@ fn r_config(r: &mut SnapReader) -> Result<VariantConfig, SnapError> {
         adaptive_window,
         metric,
         selection,
-        queue,
     })
 }
 

@@ -509,3 +509,20 @@ fn checkpoints_taken_mid_coast_lease_resume_bit_identically() {
         "mid-lease: deliveries diverged"
     );
 }
+
+#[test]
+fn zbr_checkpoint_reencodes_byte_for_byte() {
+    // ZBR is a non-FTD-threshold variant, so its snapshots carry 1 in the
+    // retired queue-discipline byte; the OPT fixture only ever carries 0.
+    let mut sim = Simulation::builder(scenario(), ProtocolKind::Zbr)
+        .seed(5)
+        .build();
+    while sim.now().as_secs_f64() < 300.0 && sim.step() {}
+    let bytes = sim.checkpoint_bytes();
+    let (mut resumed, _) = Simulation::resume_from_bytes(&bytes).expect("ZBR resume");
+    assert_eq!(
+        resumed.checkpoint_bytes(),
+        bytes,
+        "decoding and re-encoding a ZBR checkpoint changed its bytes"
+    );
+}
