@@ -16,9 +16,8 @@
 //!   needs a mobility tick well below that. The scenario pins
 //!   `mobility_tick_secs = 0.025 s` — 80 position samples per minimal
 //!   contact window, 0.125 m of movement per step at `v_max` — at which
-//!   point discretization error in contact detection is negligible. Under
-//!   the default ticked mobility that fidelity makes per-tick mobility the
-//!   dominant cost at large n.
+//!   point discretization error in contact detection is negligible. That
+//!   fidelity makes per-tick mobility the dominant cost at large n.
 //!
 //! The benchmark's `scale` workload (`perfbench/README.md`) runs this
 //! scenario at 20 000 sensors under OPT; the older scale table in

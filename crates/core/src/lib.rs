@@ -79,7 +79,7 @@ pub use queue::FtdQueue;
 pub use report::SimReport;
 pub use trace::{DropReason, SharedTrace, TeeSink, TraceEvent, TraceSink};
 pub use variants::ProtocolKind;
-pub use world::{CkptError, MobilityMode, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC};
+pub use world::{CkptError, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC};
 
 /// The most commonly used items, re-exported in one place.
 ///
@@ -101,7 +101,5 @@ pub mod prelude {
     pub use crate::report::SimReport;
     pub use crate::trace::{DropReason, SharedTrace, TeeSink, TraceEvent, TraceSink};
     pub use crate::variants::{ProtocolKind, VariantConfig};
-    pub use crate::world::{
-        CkptError, MobilityMode, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC,
-    };
+    pub use crate::world::{CkptError, Resumed, Simulation, SimulationBuilder, CKPT_MAGIC};
 }

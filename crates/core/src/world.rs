@@ -267,58 +267,12 @@ impl Timing {
     }
 }
 
-/// How node motion is advanced through simulated time.
-///
-/// The default [`Ticked`](MobilityMode::Ticked) mode advances every
-/// mobility model on every global `MobilityTick` from one shared RNG
-/// stream — O(N) work per tick regardless of how many nodes are asleep.
-/// It is the mode every existing golden baseline was recorded under and
-/// stays bit-for-bit unchanged by this enum's existence.
-///
-/// [`Lazy`](MobilityMode::Lazy) gives each node its own forked RNG stream
-/// and extrapolates its trajectory in closed form
-/// ([`MobilityModel::advance_span`]) only when the position is actually
-/// needed: on wake-up, on a spatial query, or at a low-rate staleness
-/// sweep that bounds how far any position lags. Sleeping nodes cost
-/// nothing while they sleep. Spatial queries run at an expanded radius
-/// (`range + v_max · sweep_period`) so a node whose stored position is
-/// stale can never be missed; candidates are caught up and re-filtered at
-/// the true range before the protocol sees them.
-///
-/// The two modes sample the same mobility distributions but consume
-/// randomness in different orders, so `Lazy` runs re-baseline: they are
-/// deterministic per seed (own golden test) but not bit-identical to
-/// `Ticked` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MobilityMode {
-    /// Advance all models every `mobility_tick_secs` (the default; all
-    /// pre-existing baselines).
-    #[default]
-    Ticked,
-    /// Per-node RNG streams + on-demand closed-form catch-up.
-    Lazy,
-}
+/// Slots in the coast due-wheel; windows are clipped to `COAST_WHEEL − 2`
+/// ticks so a rescheduled node can never land back in the slot being
+/// drained.
+const COAST_WHEEL: usize = 256;
 
-/// Bookkeeping for [`MobilityMode::Lazy`].
-#[derive(Debug)]
-struct LazyMobility {
-    /// Per-node mobility streams (forked from the shared mobility RNG),
-    /// so catching node *i* up never perturbs node *j*'s trajectory.
-    rngs: Vec<SimRng>,
-    /// The sim-time each node's position was last advanced to.
-    synced_at: Vec<SimTime>,
-    /// Staleness bound: a low-rate sweep catches every node up at this
-    /// period, so no stored position lags truth by more than it.
-    sync_every: SimDuration,
-    /// Spatial-query radius inflated by the worst-case staleness drift
-    /// (`range + v_max · sync_every`); also the grid cell size.
-    query_radius: f64,
-    /// The speed bound used to derive `query_radius`, kept for the
-    /// per-candidate drift pruning in `fill_neighbors`.
-    vmax: f64,
-}
-
-/// SoA coast ledger for [`MobilityMode::Ticked`].
+/// SoA coast ledger of the mobility tick.
 ///
 /// Each node holds a *coast lease* from its model
 /// ([`MobilityModel::tick_grant`]): for `left` more ticks the node's
@@ -331,12 +285,7 @@ struct LazyMobility {
 /// grid bucket. `pending` counts coasted ticks not yet reported back; a
 /// settle ([`MobilityModel::tick_settle`]) replays them bit-identically
 /// before the model is advanced, saved, or re-granted, which is what keeps
-/// ticked goldens and checkpoints byte-exact.
-/// Slots in the coast due-wheel; windows are clipped to `COAST_WHEEL − 2`
-/// ticks so a rescheduled node can never land back in the slot being
-/// drained.
-const COAST_WHEEL: usize = 256;
-
+/// goldens and checkpoints byte-exact.
 #[derive(Debug)]
 struct TickedCoast {
     /// Per-tick displacement while the lease is live.
@@ -408,8 +357,8 @@ impl TickedCoast {
     }
 }
 
-/// Per-node contact cache for [`MobilityMode::Ticked`] neighbour queries —
-/// pure memoization of [`SpatialGrid::query_within`].
+/// Per-node contact cache for neighbour queries — pure memoization of
+/// [`SpatialGrid::query_within`].
 ///
 /// A miss queries the grid at `range + margin_m` and parks the candidate
 /// indices in a shared arena; a hit re-filters that superset at the true
@@ -422,11 +371,6 @@ impl TickedCoast {
 /// makes a hit's output bit-identical to a fresh query: membership is
 /// re-decided by the same `distance_sq ≤ range²` predicate on the same
 /// positions, and the arena preserves the grid's ascending index order.
-///
-/// Ticked mode only: a lazy-mode query *advances* candidate trajectories
-/// (RNG draws, position writes), so caching it would change when those
-/// side effects fire and split `advance_span` calls differently —
-/// ULP-level divergence the lazy goldens would catch.
 #[derive(Debug)]
 struct ContactCache {
     /// Shared storage for every node's cached candidate set.
@@ -541,12 +485,9 @@ pub struct Simulation {
     hot: HotNodeTable,
     mobility: Vec<Box<dyn MobilityModel>>,
     mobility_rng: SimRng,
-    /// `Some` when running in [`MobilityMode::Lazy`].
-    lazy: Option<LazyMobility>,
-    /// `Some` when running in [`MobilityMode::Ticked`].
-    coast: Option<TickedCoast>,
-    /// `Some` when running in [`MobilityMode::Ticked`]: memoized
-    /// neighbour supersets keyed by a worst-case-drift validity window.
+    coast: TickedCoast,
+    /// Memoized neighbour supersets keyed by a worst-case-drift validity
+    /// window; `None` when disabled with `contact_cache(false)`.
     contacts: Option<ContactCache>,
     positions: Vec<Vec2>,
     grid: SpatialGrid,
@@ -633,7 +574,6 @@ pub struct SimulationBuilder {
     protocol: ProtocolParams,
     policy: PolicySpec,
     seed: u64,
-    mobility_mode: MobilityMode,
     contact_cache: bool,
     faults: Option<FaultPlan>,
     trace: Option<Box<dyn TraceSink>>,
@@ -663,17 +603,7 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects how mobility is advanced (default:
-    /// [`MobilityMode::Ticked`], the mode of every pre-existing golden
-    /// baseline). [`MobilityMode::Lazy`] advances only the nodes whose
-    /// positions are actually consulted — same distributions, different
-    /// randomness order, so lazy runs carry their own baselines.
-    pub fn mobility_mode(mut self, mode: MobilityMode) -> Self {
-        self.mobility_mode = mode;
-        self
-    }
-
-    /// Enables or disables the ticked-mode contact cache (default: on).
+    /// Enables or disables the contact cache (default: on).
     /// Disabling it forces every neighbour query down the exact uncached
     /// path; results must be bit-identical either way. This is a
     /// differential-testing knob, not a tuning surface.
@@ -720,13 +650,7 @@ impl SimulationBuilder {
     /// validation.
     #[must_use]
     pub fn build(self) -> Simulation {
-        let mut sim = Simulation::construct(
-            self.scenario,
-            self.protocol,
-            self.config,
-            self.seed,
-            self.mobility_mode,
-        );
+        let mut sim = Simulation::construct(self.scenario, self.protocol, self.config, self.seed);
         sim.install_policy(self.policy);
         if let Some(plan) = self.faults {
             sim.install_fault_plan(plan);
@@ -773,7 +697,6 @@ impl Simulation {
             protocol: ProtocolParams::paper_default(),
             policy: PolicySpec::Builtin,
             seed: 1,
-            mobility_mode: MobilityMode::default(),
             contact_cache: true,
             faults: None,
             trace: None,
@@ -787,7 +710,6 @@ impl Simulation {
         protocol: ProtocolParams,
         config: VariantConfig,
         seed: u64,
-        mode: MobilityMode,
     ) -> Self {
         scenario
             .validate()
@@ -803,27 +725,9 @@ impl Simulation {
         let zones = ZoneGrid::new(area, scenario.zone_cols, scenario.zone_rows);
         let n = scenario.node_count();
 
-        // Lazy mode forks one mobility stream per node, so catching one
-        // node up never consumes another's randomness; the model is also
-        // *placed* from its own stream, which is why lazy runs re-baseline.
-        // In Ticked mode `own` is an unused placeholder (nothing is drawn
-        // from it), keeping the shared-stream draw order bit-identical to
-        // every pre-existing baseline.
-        let lazy_mode = mode == MobilityMode::Lazy;
         let mut nodes = Vec::with_capacity(n);
         let mut mobility: Vec<Box<dyn MobilityModel>> = Vec::with_capacity(n);
-        let mut lazy_rngs: Vec<SimRng> = Vec::with_capacity(if lazy_mode { n } else { 0 });
         for i in 0..scenario.sensors {
-            let mut own = if lazy_mode {
-                mobility_rng.fork(i as u64)
-            } else {
-                SimRng::seed_from(0)
-            };
-            let rng: &mut SimRng = if lazy_mode {
-                &mut own
-            } else {
-                &mut mobility_rng
-            };
             let model: Box<dyn MobilityModel> = match scenario.mobility {
                 MobilityKind::ZoneBased => Box::new(ZoneMobility::new(
                     zones.clone(),
@@ -831,26 +735,23 @@ impl Simulation {
                     scenario.speed_min_mps,
                     scenario.speed_max_mps,
                     scenario.zone_exit_prob,
-                    rng,
+                    &mut mobility_rng,
                 )),
                 MobilityKind::RandomWaypoint => Box::new(RandomWaypoint::new(
                     area,
                     scenario.speed_min_mps.max(0.1),
                     scenario.speed_max_mps.max(0.2),
                     0.0,
-                    rng,
+                    &mut mobility_rng,
                 )),
                 MobilityKind::RandomWalk => Box::new(RandomWalk::new(
                     area,
                     scenario.speed_min_mps,
                     scenario.speed_max_mps,
                     20.0,
-                    rng,
+                    &mut mobility_rng,
                 )),
             };
-            if lazy_mode {
-                lazy_rngs.push(own);
-            }
             mobility.push(model);
             nodes.push(Node::new(
                 NodeId(i),
@@ -866,32 +767,17 @@ impl Simulation {
         for j in 0..scenario.sinks {
             let zone = ZoneId(((2 * j + 1) * zones.zone_count()) / (2 * scenario.sinks));
             let i = scenario.sensors + j;
-            let mut own = if lazy_mode {
-                mobility_rng.fork(i as u64)
-            } else {
-                SimRng::seed_from(0)
-            };
             if j >= scenario.sinks - scenario.mobile_sinks {
-                let rng: &mut SimRng = if lazy_mode {
-                    &mut own
-                } else {
-                    &mut mobility_rng
-                };
                 mobility.push(Box::new(ZoneMobility::new(
                     zones.clone(),
                     zone,
                     scenario.speed_min_mps,
                     scenario.speed_max_mps,
                     scenario.zone_exit_prob,
-                    rng,
+                    &mut mobility_rng,
                 )));
             } else {
                 mobility.push(Box::new(Stationary::new(zones.zone_center(zone))));
-            }
-            if lazy_mode {
-                // Stationary sinks never draw, but the slot keeps per-node
-                // stream indexing aligned.
-                lazy_rngs.push(own);
             }
             nodes.push(Node::new(
                 NodeId(i),
@@ -902,50 +788,22 @@ impl Simulation {
             ));
         }
 
-        let lazy = match mode {
-            MobilityMode::Ticked => None,
-            MobilityMode::Lazy => {
-                let vmax = scenario.speed_max_mps.max(0.2);
-                let sync_every = (scenario.channel.range_m / vmax)
-                    .clamp(scenario.mobility_tick_secs.min(30.0), 30.0);
-                Some(LazyMobility {
-                    rngs: lazy_rngs,
-                    synced_at: vec![SimTime::ZERO; n],
-                    sync_every: SimDuration::from_secs_f64(sync_every),
-                    query_radius: scenario.channel.range_m + vmax * sync_every,
-                    vmax,
-                })
-            }
-        };
-
-        let coast = match mode {
-            MobilityMode::Ticked => Some(TickedCoast::new(n)),
-            MobilityMode::Lazy => None,
-        };
-        let contacts = match mode {
-            MobilityMode::Ticked => Some(ContactCache::new(
-                n,
-                scenario.speed_max_mps.max(0.2),
-                scenario.mobility_tick_secs,
-            )),
-            MobilityMode::Lazy => None,
-        };
+        let coast = TickedCoast::new(n);
+        let contacts = Some(ContactCache::new(
+            n,
+            scenario.speed_max_mps.max(0.2),
+            scenario.mobility_tick_secs,
+        ));
 
         let positions: Vec<Vec2> = mobility.iter().map(|m| m.position()).collect();
         // Cell size is decoupled from every query radius (the grid scans
         // ⌈r/cell⌉ rings), so it is a pure performance knob — query
-        // results are exact for any cell size, and the two modes want
-        // opposite settings. Ticked: wider cells mean a coasting node
-        // crosses cell edges — and pays a lease recheck — proportionally
-        // less often, and at the paper's densities (~4.4·10⁻³ nodes/m²) a
-        // 4·range cell holds around seven nodes, so a 3×3 scan stays
-        // within a few cache lines. Lazy: queries go out at the inflated
-        // `query_radius`, so cells sized to it keep the scan at one ring
-        // of tight buckets.
-        let cell = match &lazy {
-            Some(l) => l.query_radius.max(1.0),
-            None => (4.0 * scenario.channel.range_m).max(1.0),
-        };
+        // results are exact for any cell size. Wider cells mean a coasting
+        // node crosses cell edges — and pays a lease recheck —
+        // proportionally less often, and at the paper's densities
+        // (~4.4·10⁻³ nodes/m²) a 4·range cell holds around seven nodes, so
+        // a 3×3 scan stays within a few cache lines.
+        let cell = (4.0 * scenario.channel.range_m).max(1.0);
         let mut grid = SpatialGrid::new(area, cell);
         grid.rebuild(&positions);
 
@@ -990,7 +848,6 @@ impl Simulation {
             hot,
             mobility,
             mobility_rng,
-            lazy,
             coast,
             contacts,
             positions,
@@ -1053,12 +910,7 @@ impl Simulation {
     }
 
     fn schedule_initial_events(&mut self) {
-        // In Lazy mode the MobilityTick is a low-rate staleness sweep, not
-        // a per-tick advance.
-        let tick = match &self.lazy {
-            Some(l) => l.sync_every,
-            None => SimDuration::from_secs_f64(self.scenario.mobility_tick_secs),
-        };
+        let tick = SimDuration::from_secs_f64(self.scenario.mobility_tick_secs);
         self.events.schedule_after(tick, Event::MobilityTick);
         for i in 0..self.scenario.sensors {
             let id = NodeId(i);
@@ -1114,8 +966,9 @@ impl Simulation {
         (self.finish_report(), profile)
     }
 
-    /// Contact-cache telemetry: `(hits, misses)` of the ticked-mode
-    /// neighbour cache, `None` in lazy mode.
+    /// Contact-cache telemetry: `(hits, misses)` of the neighbour cache,
+    /// `None` when the cache was disabled with
+    /// [`contact_cache(false)`](SimulationBuilder::contact_cache).
     #[must_use]
     pub fn contact_cache_stats(&self) -> Option<(u64, u64)> {
         self.contacts.as_ref().map(|c| (c.hits, c.misses))
@@ -1129,17 +982,16 @@ impl Simulation {
         self.medium.airborne()
     }
 
-    /// Nodes currently mid-coast-lease in ticked mode (straight-line
-    /// ticks promised but not yet replayed into their models). `None` in
-    /// lazy mode. Checkpointing settles every lease first; this telemetry
-    /// lets tests prove a snapshot instant actually was mid-lease.
+    /// Nodes currently mid-coast-lease (straight-line ticks promised but
+    /// not yet replayed into their models). Checkpointing settles every
+    /// lease first; this telemetry lets tests prove a snapshot instant
+    /// actually was mid-lease.
     #[must_use]
-    pub fn coasting_nodes(&self) -> Option<usize> {
-        self.coast.as_ref().map(|c| {
-            (0..c.model_left.len())
-                .filter(|&j| c.model_left[j] > 0 || c.applied[j] > 0)
-                .count()
-        })
+    pub fn coasting_nodes(&self) -> usize {
+        let c = &self.coast;
+        (0..c.model_left.len())
+            .filter(|&j| c.model_left[j] > 0 || c.applied[j] > 0)
+            .count()
     }
 
     /// The simulation clock: the time of the most recently processed
@@ -1223,7 +1075,7 @@ impl Simulation {
 
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
-            Event::MobilityTick => self.on_mobility_tick(now),
+            Event::MobilityTick => self.on_mobility_tick(),
             Event::DataGen(i) => self.on_data_gen(now, i),
             Event::MetricTimeout(i) => self.on_metric_timeout(now, i),
             Event::TxEnd(i, handle) => self.on_tx_end(now, i, handle),
@@ -1490,18 +1342,7 @@ impl Simulation {
             .schedule_after(delay, Event::Timer(i, epoch, timer));
     }
 
-    fn on_mobility_tick(&mut self, now: SimTime) {
-        if let Some(every) = self.lazy.as_ref().map(|l| l.sync_every) {
-            // Lazy mode: this tick is a low-rate staleness sweep. Catching
-            // every node up to `now` re-establishes the invariant the
-            // expanded-radius queries rely on — no stored position lags
-            // truth by more than `sync_every · v_max` metres.
-            for j in 0..self.mobility.len() {
-                self.catch_up_node(j, now);
-            }
-            self.events.schedule_after(every, Event::MobilityTick);
-            return;
-        }
+    fn on_mobility_tick(&mut self) {
         let dt = self.scenario.mobility_tick_secs;
         let Simulation {
             mobility,
@@ -1511,7 +1352,6 @@ impl Simulation {
             grid,
             ..
         } = self;
-        let coast = coast.as_mut().expect("ticked mode has a coast ledger");
         // O(due) tick: nodes mid-lease appear in no wheel slot and cost
         // nothing — their dense positions simply lag and are materialized
         // when read. Only the handful of nodes whose lease or cell window
@@ -1575,11 +1415,9 @@ impl Simulation {
     /// before `save_state`. Leases are cancelled, forcing the next tick
     /// through the full path exactly as a freshly resumed run would go,
     /// so checkpointing mid-lease cannot diverge from an uninterrupted
-    /// run. No-op in Lazy mode.
+    /// run.
     fn settle_coast(&mut self) {
-        let Some(coast) = self.coast.as_mut() else {
-            return;
-        };
+        let coast = &mut self.coast;
         let dt = self.scenario.mobility_tick_secs;
         let t = coast.tick_no;
         for (j, m) in self.mobility.iter_mut().enumerate() {
@@ -1597,24 +1435,6 @@ impl Simulation {
         }
         let next = ((t + 1) % COAST_WHEEL as u64) as usize;
         coast.wheel[next] = (0..self.mobility.len() as u32).collect();
-    }
-
-    /// Advances node `j`'s mobility from its last synced instant to `now`
-    /// in one closed-form span, updating its stored position and grid
-    /// cell. No-op in Ticked mode and for already-current nodes.
-    fn catch_up_node(&mut self, j: usize, now: SimTime) {
-        let Some(lazy) = self.lazy.as_mut() else {
-            return;
-        };
-        let dt = now.saturating_since(lazy.synced_at[j]);
-        if dt.is_zero() {
-            return;
-        }
-        lazy.synced_at[j] = now;
-        self.mobility[j].advance_span(dt.as_secs_f64(), &mut lazy.rngs[j]);
-        let p = self.mobility[j].position();
-        self.positions[j] = p;
-        self.grid.move_node(j, p);
     }
 
     fn on_data_gen(&mut self, now: SimTime, i: NodeId) {
@@ -1686,9 +1506,6 @@ impl Simulation {
         if self.hot.sink[i.index()] || !self.hot.alive[i.index()] {
             return;
         }
-        // A node waking from a long nap catches its own position up before
-        // acting (lazy mode only; no-op otherwise).
-        self.catch_up_node(i.index(), now);
         {
             let node = &mut self.nodes[i.index()];
             if node.state == MacState::Sleeping {
@@ -2122,117 +1939,78 @@ impl Simulation {
 
     fn fill_neighbors(&mut self, now: SimTime, i: NodeId) {
         let range = self.scenario.channel.range_m;
-        if let Some(radius) = self.lazy.as_ref().map(|l| l.query_radius) {
-            // Lazy mode: stored positions may lag truth by up to
-            // `sync_every · v_max` metres (center included until the line
-            // below), so query at the inflated radius — anything truly in
-            // range is guaranteed to fall inside it — then catch the
-            // candidates up and re-filter at the true range. `retain`
-            // preserves the ascending order downstream relies on.
-            self.catch_up_node(i.index(), now);
-            self.grid
-                .query_within(&self.positions, i.index(), radius, &mut self.scratch.idx);
-            let mut idx = std::mem::take(&mut self.scratch.idx);
-            let center = self.positions[i.index()];
-            {
-                // Drift-bound pruning: a candidate whose *stale* position
-                // already lies farther than `range + v_max · staleness`
-                // cannot be within range now, so it needs neither catch-up
-                // nor a second look. This keeps the expanded-radius query
-                // from turning every contact check into a ring of
-                // trajectory advances.
-                let lazy = self.lazy.as_ref().expect("lazy branch");
-                let vmax = lazy.vmax;
-                let positions = &self.positions;
-                idx.retain(|&j| {
-                    let s = now.saturating_since(lazy.synced_at[j]).as_secs_f64();
-                    let reach = range + vmax * s;
-                    positions[j].distance_sq(center) <= reach * reach
-                });
+        // Positions are dense and exact, so the query is memoizable. See
+        // [`ContactCache`] for the exactness argument; on either path
+        // `scratch.idx` ends up holding precisely the ascending indices a
+        // bare `query_within(range)` would return.
+        let Simulation {
+            grid,
+            positions,
+            scratch,
+            contacts,
+            coast,
+            ..
+        } = self;
+        let slot = i.index();
+        let t = coast.tick_no;
+        coast.materialize(slot, t, positions);
+        let center = positions[slot];
+        let r2 = range * range;
+        let Some(cache) = contacts.as_mut() else {
+            // Cache disabled (the differential-testing knob): same
+            // materialize-then-exact-query sequence as a cache miss, just
+            // at the true range with nothing memoized.
+            grid.collect_neighborhood(slot, range, &mut scratch.mat);
+            for &j in &scratch.mat {
+                coast.materialize(j, t, positions);
             }
-            for &j in &idx {
-                self.catch_up_node(j, now);
+            grid.query_within(positions, slot, range, &mut scratch.idx);
+            scratch.ids.clear();
+            let (idx, ids) = (&scratch.idx, &mut scratch.ids);
+            ids.extend(idx.iter().map(|&j| NodeId(j)));
+            return;
+        };
+        let fresh = cache.gen[slot] == cache.arena_gen
+            && now.saturating_since(cache.at[slot]) <= cache.valid_for;
+        if fresh {
+            cache.hits += 1;
+            let s = cache.start[slot] as usize;
+            let l = cache.len[slot] as usize;
+            scratch.idx.clear();
+            for k in s..s + l {
+                let j = cache.arena[k] as usize;
+                coast.materialize(j, t, positions);
+                if positions[j].distance_sq(center) <= r2 {
+                    scratch.idx.push(j);
+                }
             }
-            let r2 = range * range;
-            idx.retain(|&j| self.positions[j].distance_sq(center) <= r2);
-            self.scratch.idx = idx;
         } else {
-            // Ticked mode: positions are dense and exact, so the query is
-            // memoizable. See [`ContactCache`] for the exactness argument;
-            // on either path `scratch.idx` ends up holding precisely the
-            // ascending indices a bare `query_within(range)` would return.
-            let Simulation {
-                grid,
-                positions,
-                scratch,
-                contacts,
-                coast,
-                ..
-            } = self;
-            let coast = coast.as_mut().expect("ticked mode has a coast ledger");
-            let slot = i.index();
-            let t = coast.tick_no;
-            coast.materialize(slot, t, positions);
-            let center = positions[slot];
-            let r2 = range * range;
-            let Some(cache) = contacts.as_mut() else {
-                // Cache disabled (the differential-testing knob): same
-                // materialize-then-exact-query sequence as a cache miss,
-                // just at the true range with nothing memoized.
-                grid.collect_neighborhood(slot, range, &mut scratch.mat);
-                for &j in &scratch.mat {
-                    coast.materialize(j, t, positions);
-                }
-                grid.query_within(positions, slot, range, &mut scratch.idx);
-                scratch.ids.clear();
-                let (idx, ids) = (&scratch.idx, &mut scratch.ids);
-                ids.extend(idx.iter().map(|&j| NodeId(j)));
-                return;
-            };
-            let fresh = cache.gen[slot] == cache.arena_gen
-                && now.saturating_since(cache.at[slot]) <= cache.valid_for;
-            if fresh {
-                cache.hits += 1;
-                let s = cache.start[slot] as usize;
-                let l = cache.len[slot] as usize;
-                scratch.idx.clear();
-                for k in s..s + l {
-                    let j = cache.arena[k] as usize;
-                    coast.materialize(j, t, positions);
-                    if positions[j].distance_sq(center) <= r2 {
-                        scratch.idx.push(j);
-                    }
-                }
-            } else {
-                cache.misses += 1;
-                // Catch the whole candidate neighbourhood up to the current
-                // tick before the exact query reads it: the ring superset is
-                // every node the expanded-radius query could inspect, and a
-                // node cannot leave its grid cell mid-lease, so the buckets
-                // themselves are already current.
-                grid.collect_neighborhood(slot, range + cache.margin_m, &mut scratch.mat);
-                for &j in &scratch.mat {
-                    coast.materialize(j, t, positions);
-                }
-                grid.query_within(positions, slot, range + cache.margin_m, &mut scratch.idx);
-                if cache.arena.len() + scratch.idx.len() > cache.cap {
-                    cache.arena.clear();
-                    cache.arena_gen = cache.arena_gen.wrapping_add(1);
-                }
-                cache.at[slot] = now;
-                cache.gen[slot] = cache.arena_gen;
-                cache.start[slot] = u32::try_from(cache.arena.len()).expect("arena fits u32");
-                cache.len[slot] = scratch.idx.len() as u32;
-                cache.arena.extend(scratch.idx.iter().map(|&j| j as u32));
-                scratch
-                    .idx
-                    .retain(|&j| positions[j].distance_sq(center) <= r2);
+            cache.misses += 1;
+            // Catch the whole candidate neighbourhood up to the current
+            // tick before the exact query reads it: the ring superset is
+            // every node the expanded-radius query could inspect, and a
+            // node cannot leave its grid cell mid-lease, so the buckets
+            // themselves are already current.
+            grid.collect_neighborhood(slot, range + cache.margin_m, &mut scratch.mat);
+            for &j in &scratch.mat {
+                coast.materialize(j, t, positions);
             }
+            grid.query_within(positions, slot, range + cache.margin_m, &mut scratch.idx);
+            if cache.arena.len() + scratch.idx.len() > cache.cap {
+                cache.arena.clear();
+                cache.arena_gen = cache.arena_gen.wrapping_add(1);
+            }
+            cache.at[slot] = now;
+            cache.gen[slot] = cache.arena_gen;
+            cache.start[slot] = u32::try_from(cache.arena.len()).expect("arena fits u32");
+            cache.len[slot] = scratch.idx.len() as u32;
+            cache.arena.extend(scratch.idx.iter().map(|&j| j as u32));
+            scratch
+                .idx
+                .retain(|&j| positions[j].distance_sq(center) <= r2);
         }
-        self.scratch.ids.clear();
-        self.scratch
-            .ids
-            .extend(self.scratch.idx.iter().map(|&j| NodeId(j)));
+        scratch.ids.clear();
+        scratch.ids.extend(scratch.idx.iter().map(|&j| NodeId(j)));
     }
 
     fn begin_frame(

@@ -4,12 +4,11 @@
 //! A checkpoint captures the *complete* live state of a run: every node's
 //! protocol tables (ξ, FTD queue, sleep history, neighbor table, MAC
 //! context), the timing-wheel event set, every RNG stream (shared mobility,
-//! fault, per-node protocol, and Lazy mode's per-node mobility forks), the
-//! in-flight radio medium, the run counters, and the windowed observer's
-//! accumulation state. Resuming reconstructs a simulation whose subsequent
-//! event stream is bit-for-bit identical to the uninterrupted run: same
-//! golden counters, same observe JSONL bytes, for every protocol variant
-//! and both mobility modes.
+//! fault, per-node protocol), the in-flight radio medium, the run counters,
+//! and the windowed observer's accumulation state. Resuming reconstructs a
+//! simulation whose subsequent event stream is bit-for-bit identical to the
+//! uninterrupted run: same golden counters, same observe JSONL bytes, for
+//! every protocol variant.
 //!
 //! # File format
 //!
@@ -1107,7 +1106,7 @@ impl Simulation {
     /// [`step`](Self::step) returns — so the snapshot sits on an event
     /// boundary.
     ///
-    /// Takes `&mut self` only to settle outstanding ticked coast leases
+    /// Takes `&mut self` only to settle outstanding coast leases
     /// into their mobility models first; the settle is observationally a
     /// no-op, so checkpointing never perturbs the run.
     #[must_use]
@@ -1132,10 +1131,9 @@ impl Simulation {
         w_protocol(w, &self.protocol);
         w_config(w, &self.config);
         w.u64(self.seed);
-        w.u8(match self.lazy {
-            None => 0,
-            Some(_) => 1,
-        });
+        // Mobility-mode tag: always 0 (ticked). Tag 1 marked the removed
+        // lazy mobility mode; decode refuses it.
+        w.u8(0);
         w.seq(&self.fault_plan.events, |w, ev| {
             w.f64(ev.at_secs);
             w_fault_kind(w, &ev.kind);
@@ -1146,10 +1144,6 @@ impl Simulation {
         w.u64(self.events.popped());
         w_rng(w, &self.mobility_rng);
         w_rng(w, &self.fault_rng);
-        if let Some(lazy) = &self.lazy {
-            w.seq(&lazy.rngs, w_rng);
-            w.seq(&lazy.synced_at, |w, &t| w_time(w, t));
-        }
 
         // Mobility models (positions are derived from these on restore).
         w.usize(self.mobility.len());
@@ -1347,13 +1341,17 @@ impl Simulation {
         let protocol = r_protocol(r)?;
         let config = r_config(r)?;
         let seed = r.u64()?;
-        let mode = match r.u8().map_err(CkptError::from)? {
-            0 => MobilityMode::Ticked,
-            1 => MobilityMode::Lazy,
-            t => {
-                return Err(CkptError::corrupt(format!("bad MobilityMode tag {t}")));
+        match r.u8().map_err(CkptError::from)? {
+            0 => {}
+            1 => {
+                return Err(CkptError::Invalid {
+                    detail: "lazy mobility (mode tag 1) was removed; \
+                             this checkpoint cannot be resumed"
+                        .to_owned(),
+                });
             }
-        };
+            t => return Err(CkptError::corrupt(format!("bad mobility mode tag {t}"))),
+        }
         let plan = FaultPlan {
             events: r.seq(|r| {
                 Ok(crate::faults::FaultEvent {
@@ -1375,22 +1373,12 @@ impl Simulation {
 
         // Rebuild the static world; every random draw construction makes
         // is immaterial because each stream is overwritten below.
-        let mut sim = Simulation::construct(scenario, protocol, config, seed, mode);
+        let mut sim = Simulation::construct(scenario, protocol, config, seed);
 
         let now = r_time(r)?;
         let popped = r.u64()?;
         sim.mobility_rng = r_rng(r)?;
         sim.fault_rng = r_rng(r)?;
-        if mode == MobilityMode::Lazy {
-            let rngs = r.seq(r_rng)?;
-            let synced_at = r.seq(r_time)?;
-            if rngs.len() != n || synced_at.len() != n {
-                return Err(CkptError::corrupt("lazy-mobility table length mismatch"));
-            }
-            let lazy = sim.lazy.as_mut().expect("lazy mode has lazy state");
-            lazy.rngs = rngs;
-            lazy.synced_at = synced_at;
-        }
 
         let model_count = r.usize()?;
         if model_count != n {
@@ -1736,19 +1724,16 @@ mod tests {
         ]
     }
 
-    fn build(kind: ProtocolKind, seed: u64, mode: MobilityMode) -> Simulation {
-        Simulation::builder(scenario(), kind)
-            .seed(seed)
-            .mobility_mode(mode)
-            .build()
+    fn build(kind: ProtocolKind, seed: u64) -> Simulation {
+        Simulation::builder(scenario(), kind).seed(seed).build()
     }
 
     #[test]
     fn mid_run_resume_reproduces_the_uninterrupted_run() {
         for kind in [ProtocolKind::Opt, ProtocolKind::Epidemic] {
-            let baseline = build(kind, 7, MobilityMode::Ticked).run();
+            let baseline = build(kind, 7).run();
 
-            let mut sim = build(kind, 7, MobilityMode::Ticked);
+            let mut sim = build(kind, 7);
             run_until(&mut sim, SimTime::from_secs(400));
             let bytes = sim.checkpoint_bytes();
             drop(sim);
@@ -1772,22 +1757,6 @@ mod tests {
             );
             assert_eq!(report.deliveries, baseline.deliveries);
         }
-    }
-
-    #[test]
-    fn lazy_mode_resume_is_bit_identical() {
-        let baseline = build(ProtocolKind::Opt, 11, MobilityMode::Lazy).run();
-
-        let mut sim = build(ProtocolKind::Opt, 11, MobilityMode::Lazy);
-        run_until(&mut sim, SimTime::from_secs(350));
-        let bytes = sim.checkpoint_bytes();
-        let (resumed, _) = Simulation::resume_from_bytes(&bytes).unwrap();
-        let report = resumed.run();
-        assert_eq!(golden(&report), golden(&baseline));
-        assert_eq!(
-            report.total_sensor_energy_j.to_bits(),
-            baseline.total_sensor_energy_j.to_bits()
-        );
     }
 
     #[test]
@@ -1860,7 +1829,7 @@ mod tests {
 
     #[test]
     fn corruption_is_rejected_with_a_diagnostic() {
-        let mut sim = build(ProtocolKind::Opt, 3, MobilityMode::Ticked);
+        let mut sim = build(ProtocolKind::Opt, 3);
         run_until(&mut sim, SimTime::from_secs(100));
         let bytes = sim.checkpoint_bytes();
 
@@ -1887,12 +1856,39 @@ mod tests {
     }
 
     #[test]
+    fn lazy_mode_checkpoints_are_refused_by_name() {
+        let mut sim = build(ProtocolKind::Opt, 3);
+        run_until(&mut sim, SimTime::from_secs(100));
+        let mut bytes = sim.checkpoint_bytes();
+
+        // The mode byte follows the scenario, protocol, config and seed.
+        let mut w = SnapWriter::new();
+        w_scenario(&mut w, &sim.scenario);
+        w_protocol(&mut w, &sim.protocol);
+        w_config(&mut w, &sim.config);
+        let header = CKPT_MAGIC.len() + 8;
+        let at = header + w.into_bytes().len() + 8;
+        assert_eq!(bytes[at], 0, "ticked runs write mode tag 0");
+
+        // Tag 1 is what a lazy-mobility run wrote; re-seal the checksum so
+        // only the tag is wrong.
+        bytes[at] = 1;
+        let end = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[header..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let err = Simulation::resume_from_bytes(&bytes).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        assert!(err.to_string().contains("lazy mobility"), "{err}");
+        assert!(err.to_string().contains("removed"), "{err}");
+    }
+
+    #[test]
     fn checkpoint_file_rotates_and_falls_back_to_backup() {
         let dir = std::env::temp_dir().join(format!("dftmsn-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
 
-        let mut sim = build(ProtocolKind::Opt, 5, MobilityMode::Ticked);
+        let mut sim = build(ProtocolKind::Opt, 5);
         run_until(&mut sim, SimTime::from_secs(200));
         sim.checkpoint(&path).unwrap();
         run_until(&mut sim, SimTime::from_secs(400));
@@ -1928,7 +1924,7 @@ mod tests {
 
     #[test]
     fn partial_report_covers_the_elapsed_horizon() {
-        let mut sim = build(ProtocolKind::Opt, 2, MobilityMode::Ticked);
+        let mut sim = build(ProtocolKind::Opt, 2);
         run_until(&mut sim, SimTime::from_secs(300));
         let report = sim.finish_partial();
         assert!(report.duration_secs <= 300.0 + 1.0);

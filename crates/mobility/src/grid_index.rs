@@ -101,9 +101,7 @@ impl SpatialGrid {
 
     /// Moves the single node `i` to position `p`, keeping its bucket
     /// membership (and the ascending bucket order) consistent. Free when
-    /// the node stayed inside its cell. This is the lazy-mobility
-    /// catch-up primitive: a node whose position was just extrapolated is
-    /// re-indexed on its own, without touching the other nodes.
+    /// the node stayed inside its cell, and touches no other node.
     ///
     /// # Panics
     ///
@@ -135,7 +133,7 @@ impl SpatialGrid {
     /// [`move_node`](Self::move_node) fused with
     /// [`cell_margin`](Self::cell_margin): moves node `i` to `p` and
     /// returns the margin at `p`, sharing the coordinate normalization
-    /// both need. This is the ticked coast engine's cell-recheck
+    /// both need. This is the coast engine's cell-recheck
     /// primitive, called every time a lease's cell window expires, so the
     /// duplicate divisions of the unfused pair matter.
     ///

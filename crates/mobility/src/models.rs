@@ -31,27 +31,6 @@ pub trait MobilityModel: std::fmt::Debug + Send {
     /// Implementations may panic if `dt` is not a positive finite number.
     fn advance(&mut self, dt: f64, rng: &mut SimRng);
 
-    /// Advances the model across an arbitrary span of `dt` seconds in a
-    /// single call — the lazy-mobility catch-up path.
-    ///
-    /// The default forwards to [`advance`](Self::advance), which is correct
-    /// for models whose `advance` already walks the span closed-form
-    /// ([`RandomWaypoint`], [`Stationary`], trace replay). Models whose
-    /// per-tick `advance` makes boundary decisions each tick
-    /// ([`ZoneMobility`], [`RandomWalk`]) override this with an
-    /// event-stepped walk: cost is proportional to the number of leg ends
-    /// and boundary hits in the span, not to `dt / tick`. The trajectory is
-    /// drawn from the same distribution but is **not** bit-identical to a
-    /// sequence of small ticks, so an engine switching between the two
-    /// modes must re-record its golden baselines.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `dt` is not a positive finite number.
-    fn advance_span(&mut self, dt: f64, rng: &mut SimRng) {
-        self.advance(dt, rng);
-    }
-
     /// The model's mutable state as a flat `f64` vector, for checkpointing.
     ///
     /// Only trajectory state is captured — construction-time parameters
@@ -77,7 +56,7 @@ pub trait MobilityModel: std::fmt::Debug + Send {
         );
     }
 
-    /// Ticked-mode coast lease: `(disp, k)` promises that each of the next
+    /// Coast lease: `(disp, k)` promises that each of the next
     /// `k` calls to [`advance`](Self::advance) with this exact `dt` would
     /// be a pure straight-line step — the position moves by exactly `disp`
     /// (bit-identical to what `advance` would compute), no RNG is drawn,
@@ -127,18 +106,6 @@ fn coast_ticks(p: f64, d: f64, lo: f64, hi: f64, guard: f64) -> f64 {
     ((dist - guard) / d.abs()).floor()
 }
 
-/// Time until a point at `p` moving with velocity `v` leaves `[lo, hi]`
-/// (infinite when it never does).
-fn ray_exit(p: f64, v: f64, lo: f64, hi: f64) -> f64 {
-    if v > 0.0 {
-        (hi - p) / v
-    } else if v < 0.0 {
-        (lo - p) / v
-    } else {
-        f64::INFINITY
-    }
-}
-
 fn assert_dt(dt: f64) {
     assert!(dt.is_finite() && dt > 0.0, "dt must be positive, got {dt}");
 }
@@ -174,13 +141,6 @@ pub struct ZoneMobility {
     /// Seconds left on the current straight-line leg before the node
     /// re-draws its heading and speed.
     leg_remaining: f64,
-    /// Conservative lower bound on the distance (m) from `pos` to the
-    /// nearest edge of its current zone — a step shorter than this cannot
-    /// reach any boundary, letting `advance_span` skip the zone geometry
-    /// entirely. A movement of length L shrinks every edge distance by at
-    /// most L, so the bound survives heading redraws; 0 forces the full
-    /// path, which recomputes it.
-    span_margin_m: f64,
 }
 
 impl ZoneMobility {
@@ -228,7 +188,6 @@ impl ZoneMobility {
             v_max,
             exit_prob,
             leg_remaining: 0.0,
-            span_margin_m: 0.0,
         };
         m.redraw_leg(rng);
         m
@@ -260,9 +219,6 @@ impl MobilityModel for ZoneMobility {
 
     fn advance(&mut self, dt: f64, rng: &mut SimRng) {
         assert_dt(dt);
-        // The tick path moves `pos` without maintaining the span margin;
-        // force the next `advance_span` through its full path.
-        self.span_margin_m = 0.0;
         self.leg_remaining -= dt;
         if self.leg_remaining <= 0.0 {
             self.redraw_leg(rng);
@@ -292,105 +248,6 @@ impl MobilityModel for ZoneMobility {
         }
     }
 
-    /// Event-stepped span advance: walks from leg end to leg end and from
-    /// zone-boundary hit to zone-boundary hit, making one crossing decision
-    /// per boundary actually reached. Cost ∝ events in the span (legs are
-    /// exponential with mean `MEAN_LEG_SECS` s, boundaries are a
-    /// zone width apart), not ∝ `dt / tick`.
-    fn advance_span(&mut self, dt: f64, rng: &mut SimRng) {
-        assert_dt(dt);
-        /// Nudge across a boundary so `zone_of` sees the far side (m).
-        const EPS_M: f64 = 1e-9;
-        let area = self.grid.area();
-        let mut budget = dt;
-        // Hard cap against pathological geometry; events in any realistic
-        // span number in the hundreds.
-        for _ in 0..1_000_000 {
-            if budget <= 0.0 {
-                return;
-            }
-            if self.leg_remaining <= 0.0 {
-                self.redraw_leg(rng);
-            }
-            let step = budget.min(self.leg_remaining);
-            if self.speed <= 0.0 {
-                self.leg_remaining -= step;
-                budget -= step;
-                continue;
-            }
-            let dist = self.speed * step;
-            if dist < self.span_margin_m {
-                // Too short to reach any zone edge: pure position update,
-                // no zone lookup. The expression matches the in-zone slow
-                // path below exactly, so trajectories stay bit-identical.
-                self.pos += self.dir * dist;
-                self.span_margin_m -= dist;
-                self.leg_remaining -= step;
-                budget -= step;
-                continue;
-            }
-            let zb = self.grid.zone_bounds(self.grid.zone_of(self.pos));
-            let vx = self.dir.x * self.speed;
-            let vy = self.dir.y * self.speed;
-            let tx = ray_exit(self.pos.x, vx, zb.x0, zb.x1);
-            let ty = ray_exit(self.pos.y, vy, zb.y0, zb.y1);
-            let hit = tx.min(ty);
-            if hit >= step {
-                // The whole step stays inside the current zone.
-                self.pos += self.dir * (self.speed * step);
-                self.span_margin_m = (self.pos.x - zb.x0)
-                    .min(zb.x1 - self.pos.x)
-                    .min(self.pos.y - zb.y0)
-                    .min(zb.y1 - self.pos.y);
-                self.leg_remaining -= step;
-                budget -= step;
-                continue;
-            }
-            self.span_margin_m = 0.0;
-            // Advance to the boundary, then resolve each crossing axis:
-            // area walls always reflect; zone boundaries cross into the
-            // home zone with probability 1 and elsewhere with `exit_prob`.
-            let used = hit.max(0.0);
-            self.pos += self.dir * (self.speed * used);
-            self.leg_remaining -= used;
-            budget -= used;
-            if tx <= hit {
-                let (face, wall) = if vx > 0.0 {
-                    (zb.x1, (zb.x1 - area.x1).abs() < EPS_M)
-                } else {
-                    (zb.x0, (zb.x0 - area.x0).abs() < EPS_M)
-                };
-                let probe = Vec2::new(face + vx.signum() * EPS_M, self.pos.y);
-                let next = self.grid.zone_of(probe);
-                if wall || !(next == self.home || rng.gen_bool(self.exit_prob)) {
-                    // Bounce: land strictly inside the current zone so the
-                    // next `zone_of` doesn't floor onto the far side.
-                    self.pos.x = face - vx.signum() * EPS_M;
-                    self.dir.x = -self.dir.x;
-                } else {
-                    self.pos.x = probe.x;
-                }
-            }
-            if ty <= hit {
-                let (face, wall) = if vy > 0.0 {
-                    (zb.y1, (zb.y1 - area.y1).abs() < EPS_M)
-                } else {
-                    (zb.y0, (zb.y0 - area.y0).abs() < EPS_M)
-                };
-                let probe = Vec2::new(self.pos.x, face + vy.signum() * EPS_M);
-                let next = self.grid.zone_of(probe);
-                if wall || !(next == self.home || rng.gen_bool(self.exit_prob)) {
-                    self.pos.y = face - vy.signum() * EPS_M;
-                    self.dir.y = -self.dir.y;
-                } else {
-                    self.pos.y = probe.y;
-                }
-            }
-        }
-        let (p, _) = area.reflect(self.pos, self.dir);
-        self.pos = p;
-    }
-
     fn save_state(&self) -> Vec<f64> {
         vec![
             self.pos.x,
@@ -399,19 +256,19 @@ impl MobilityModel for ZoneMobility {
             self.dir.y,
             self.speed,
             self.leg_remaining,
-            self.span_margin_m,
+            // A retired slot, kept so the checkpoint layout is unchanged.
+            0.0,
         ]
     }
 
     fn load_state(&mut self, state: &[f64]) {
-        let [px, py, dx, dy, speed, leg, margin] = *state else {
+        let [px, py, dx, dy, speed, leg, _retired] = *state else {
             panic!("zone mobility expects 7 state values, got {}", state.len());
         };
         self.pos = Vec2::new(px, py);
         self.dir = Vec2::new(dx, dy);
         self.speed = speed;
         self.leg_remaining = leg;
-        self.span_margin_m = margin;
     }
 
     fn tick_grant(&self, dt: f64) -> (Vec2, u32) {
@@ -448,7 +305,6 @@ impl MobilityModel for ZoneMobility {
             "coast lease outlived its leg"
         );
         self.pos = pos;
-        self.span_margin_m = 0.0;
     }
 }
 
@@ -643,25 +499,6 @@ impl MobilityModel for RandomWalk {
         let (p, d) = self.area.reflect(tentative, self.dir);
         self.pos = p;
         self.dir = d;
-    }
-
-    /// Leg-stepped span advance: one straight move (with fold-out
-    /// reflection) per epoch leg instead of one per tick.
-    fn advance_span(&mut self, dt: f64, rng: &mut SimRng) {
-        assert_dt(dt);
-        let mut budget = dt;
-        while budget > 0.0 {
-            if self.epoch_remaining <= 0.0 {
-                self.redraw(rng);
-            }
-            let step = budget.min(self.epoch_remaining);
-            let tentative = self.pos + self.dir * (self.speed * step);
-            let (p, d) = self.area.reflect(tentative, self.dir);
-            self.pos = p;
-            self.dir = d;
-            self.epoch_remaining -= step;
-            budget -= step;
-        }
     }
 
     fn save_state(&self) -> Vec<f64> {
@@ -873,88 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_span_advance_stays_in_area_and_keeps_home_bias() {
-        let mut rng = SimRng::seed_from(31);
-        let g = grid();
-        let mut m = ZoneMobility::new(g.clone(), ZoneId(12), 0.0, 5.0, 0.2, &mut rng);
-        let mut at_home = 0usize;
-        let spans = 4_000;
-        for k in 0..spans {
-            // Mixed span lengths, like wake-time catch-ups.
-            let dt = match k % 4 {
-                0 => 0.5,
-                1 => 3.0,
-                2 => 17.0,
-                _ => 61.0,
-            };
-            m.advance_span(dt, &mut rng);
-            assert!(
-                g.area().contains(m.position()),
-                "escaped at {}",
-                m.position()
-            );
-            if m.current_zone() == ZoneId(12) {
-                at_home += 1;
-            }
-        }
-        // Same qualitative bias as the ticked model: far above the 4%
-        // uniform share.
-        let frac = at_home as f64 / spans as f64;
-        assert!(frac > 0.10, "home fraction only {frac:.3}");
-    }
-
-    #[test]
-    fn zone_span_advance_pins_node_with_zero_exit_probability() {
-        let mut rng = SimRng::seed_from(32);
-        let mut m = ZoneMobility::new(grid(), ZoneId(7), 1.0, 5.0, 0.0, &mut rng);
-        for _ in 0..2_000 {
-            m.advance_span(9.0, &mut rng);
-            assert_eq!(m.current_zone(), ZoneId(7));
-        }
-    }
-
-    #[test]
-    fn zone_span_advance_is_deterministic_per_stream() {
-        let run = |seed: u64| {
-            let mut rng = SimRng::seed_from(seed);
-            let mut m = ZoneMobility::new(grid(), ZoneId(3), 0.0, 5.0, 0.2, &mut rng);
-            for _ in 0..200 {
-                m.advance_span(13.0, &mut rng);
-            }
-            m.position()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
-    }
-
-    #[test]
-    fn walk_span_advance_stays_in_bounds() {
-        let mut rng = SimRng::seed_from(33);
-        let area = Bounds::new(50.0, 80.0);
-        let mut m = RandomWalk::new(area, 0.0, 10.0, 10.0, &mut rng);
-        for _ in 0..3_000 {
-            m.advance_span(37.0, &mut rng);
-            assert!(area.contains(m.position()));
-        }
-    }
-
-    #[test]
-    fn span_advance_defaults_forward_to_advance() {
-        let mut rng = SimRng::seed_from(34);
-        let area = Bounds::new(100.0, 100.0);
-        let mut a = RandomWaypoint::new(area, 1.0, 5.0, 2.0, &mut rng);
-        let mut b = a.clone();
-        let mut rng_a = SimRng::seed_from(55);
-        let mut rng_b = SimRng::seed_from(55);
-        a.advance(40.0, &mut rng_a);
-        b.advance_span(40.0, &mut rng_b);
-        assert_eq!(a.position(), b.position(), "waypoint span == one advance");
-        let mut s = Stationary::new(Vec2::new(3.0, 4.0));
-        s.advance_span(1_000.0, &mut rng);
-        assert_eq!(s.position(), Vec2::new(3.0, 4.0));
-    }
-
-    #[test]
     fn save_load_state_resumes_trajectories_bit_exactly() {
         // Drive a model, snapshot, restore into a fresh twin built from the
         // same construction params (its construction draws differ — load
@@ -989,7 +744,7 @@ mod tests {
         }
 
         let mut walk = RandomWalk::new(area, 0.0, 10.0, 10.0, &mut rng);
-        walk.advance_span(91.0, &mut rng);
+        walk.advance(91.0, &mut rng);
         let mut walk2 = RandomWalk::new(area, 0.0, 10.0, 10.0, &mut rng);
         walk2.load_state(&walk.save_state());
         let mut ra = SimRng::seed_from(7);

@@ -3,7 +3,7 @@
 //! uninterrupted run *exactly* — every golden counter, every f64 bit of
 //! delay and energy accounting, every delivery record, and every byte of
 //! the windowed observe JSONL stream — for every protocol variant, across
-//! seeds, under both the ticked and lazy mobility engines.
+//! seeds.
 //!
 //! The checkpoint instant is drawn from a seeded [`SimRng`] per
 //! combination, so the suite probes a spread of boundaries (early,
@@ -41,7 +41,7 @@ impl Write for SharedBuf {
 
 /// A small but busy pinned workload: large enough that hundreds of MAC
 /// cycles, queue evictions and sleep adaptations happen before and after
-/// any checkpoint boundary, small enough to sweep 24 combinations in a
+/// any checkpoint boundary, small enough to sweep 9 combinations in a
 /// debug test run.
 fn scenario() -> ScenarioParams {
     ScenarioParams::paper_default()
@@ -67,38 +67,32 @@ fn golden(r: &SimReport) -> [u64; 8] {
     ]
 }
 
-fn build(
-    kind: ProtocolKind,
-    seed: u64,
-    mode: MobilityMode,
-    out: SharedBuf,
-) -> (Simulation, MetricsRecorder) {
+fn build(kind: ProtocolKind, seed: u64, out: SharedBuf) -> (Simulation, MetricsRecorder) {
     let recorder = MetricsRecorder::new(OBSERVE_WINDOW_SECS)
         .streaming_only()
         .with_output(Box::new(out));
     let sim = Simulation::builder(scenario(), kind)
         .seed(seed)
-        .mobility_mode(mode)
         .observe(recorder.clone())
         .build();
     (sim, recorder)
 }
 
-/// Runs one (variant, seed, mode) combination: uninterrupted twin vs.
+/// Runs one (variant, seed) combination: uninterrupted twin vs.
 /// checkpoint-at-`fraction`-of-the-run + resume, comparing reports and
 /// observe streams bit-for-bit.
-fn check_combo(kind: ProtocolKind, seed: u64, mode: MobilityMode, fraction: f64) {
-    let label = format!("{kind:?} seed {seed} {mode:?} ckpt@{fraction:.3}");
+fn check_combo(kind: ProtocolKind, seed: u64, fraction: f64) {
+    let label = format!("{kind:?} seed {seed} ckpt@{fraction:.3}");
 
     // The uninterrupted twin.
     let full_buf = SharedBuf::default();
-    let (full_sim, _) = build(kind, seed, mode, full_buf.clone());
+    let (full_sim, _) = build(kind, seed, full_buf.clone());
     let full = full_sim.run();
 
     // The interrupted run: step to the first event boundary at or past
     // the checkpoint instant, snapshot, and drop it.
     let part_buf = SharedBuf::default();
-    let (mut part_sim, part_rec) = build(kind, seed, mode, part_buf.clone());
+    let (mut part_sim, part_rec) = build(kind, seed, part_buf.clone());
     let t_ckpt = fraction * scenario().duration_secs as f64;
     while part_sim.now().as_secs_f64() < t_ckpt {
         if !part_sim.step() {
@@ -168,27 +162,16 @@ fn every_variant_resumes_bit_identically_under_ticked_mobility() {
     let mut rng = SimRng::seed_from(0xC4EC_0001);
     for kind in ProtocolKind::ALL {
         let fraction = fraction_for(&mut rng);
-        check_combo(kind, 1, MobilityMode::Ticked, fraction);
+        check_combo(kind, 1, fraction);
     }
 }
 
 #[test]
-fn every_variant_resumes_bit_identically_under_lazy_mobility() {
-    let mut rng = SimRng::seed_from(0xC4EC_0002);
-    for kind in ProtocolKind::ALL {
-        let fraction = fraction_for(&mut rng);
-        check_combo(kind, 1, MobilityMode::Lazy, fraction);
-    }
-}
-
-#[test]
-fn second_seed_resumes_bit_identically_in_both_modes() {
+fn second_seed_resumes_bit_identically() {
     let mut rng = SimRng::seed_from(0xC4EC_0003);
-    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        for kind in [ProtocolKind::Opt, ProtocolKind::Zbr, ProtocolKind::Epidemic] {
-            let fraction = fraction_for(&mut rng);
-            check_combo(kind, 42, mode, fraction);
-        }
+    for kind in [ProtocolKind::Opt, ProtocolKind::Zbr, ProtocolKind::Epidemic] {
+        let fraction = fraction_for(&mut rng);
+        check_combo(kind, 42, fraction);
     }
 }
 
@@ -242,41 +225,37 @@ fn faulted_runs_resume_bit_identically() {
     // crash/recovery state machines across the checkpoint boundary.
     let scenario = scenario();
     let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
-    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        let label = format!("faulted OPT {mode:?}");
+    let label = "faulted OPT";
 
-        let full_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build();
-        let full = full_sim.run();
-        assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
+    let full_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan.clone())
+        .build();
+    let full = full_sim.run();
+    assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
 
-        let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build();
-        while part_sim.now().as_secs_f64() < 300.0 {
-            if !part_sim.step() {
-                break;
-            }
+    let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan.clone())
+        .build();
+    while part_sim.now().as_secs_f64() < 300.0 {
+        if !part_sim.step() {
+            break;
         }
-        let bytes = part_sim.checkpoint_bytes();
-        let (resumed_sim, _) =
-            Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let resumed = resumed_sim.run();
-        assert_eq!(
-            golden(&resumed),
-            golden(&full),
-            "{label}: counters diverged"
-        );
-        assert_eq!(
-            resumed.faults, full.faults,
-            "{label}: fault counters diverged"
-        );
     }
+    let bytes = part_sim.checkpoint_bytes();
+    let (resumed_sim, _) =
+        Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let resumed = resumed_sim.run();
+    assert_eq!(
+        golden(&resumed),
+        golden(&full),
+        "{label}: counters diverged"
+    );
+    assert_eq!(
+        resumed.faults, full.faults,
+        "{label}: fault counters diverged"
+    );
 }
 
 #[test]
@@ -290,53 +269,49 @@ fn adversarial_runs_resume_bit_identically() {
     let mut plan =
         dftmsn::core::behavior::parse_spec("liar=0.2;selfish=0.2@400", &scenario, 5).unwrap();
     plan.extend(FaultPlan::node_failures(&scenario, 0.2, Some(120.0), 9));
-    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        let label = format!("adversarial OPT {mode:?}");
+    let label = "adversarial OPT";
 
-        let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build()
-            .run();
-        assert!(
-            full.faults.behavior_changes > 0 && full.faults.crashes > 0,
-            "{label}: plan injected nothing"
-        );
+    let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan.clone())
+        .build()
+        .run();
+    assert!(
+        full.faults.behavior_changes > 0 && full.faults.crashes > 0,
+        "{label}: plan injected nothing"
+    );
 
-        let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build();
-        while part_sim.now().as_secs_f64() < 300.0 {
-            if !part_sim.step() {
-                break;
-            }
+    let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan.clone())
+        .build();
+    while part_sim.now().as_secs_f64() < 300.0 {
+        if !part_sim.step() {
+            break;
         }
-        let bytes = part_sim.checkpoint_bytes();
-        let (resumed_sim, _) =
-            Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let resumed = resumed_sim.run();
-        assert_eq!(
-            golden(&resumed),
-            golden(&full),
-            "{label}: counters diverged"
-        );
-        assert_eq!(
-            resumed.faults, full.faults,
-            "{label}: fault/behavior counters diverged"
-        );
-        assert_eq!(
-            resumed.lifetime, full.lifetime,
-            "{label}: lifetime block diverged"
-        );
-        assert_eq!(
-            resumed.mean_delay_secs.to_bits(),
-            full.mean_delay_secs.to_bits(),
-            "{label}: delay bits diverged"
-        );
     }
+    let bytes = part_sim.checkpoint_bytes();
+    let (resumed_sim, _) =
+        Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let resumed = resumed_sim.run();
+    assert_eq!(
+        golden(&resumed),
+        golden(&full),
+        "{label}: counters diverged"
+    );
+    assert_eq!(
+        resumed.faults, full.faults,
+        "{label}: fault/behavior counters diverged"
+    );
+    assert_eq!(
+        resumed.lifetime, full.lifetime,
+        "{label}: lifetime block diverged"
+    );
+    assert_eq!(
+        resumed.mean_delay_secs.to_bits(),
+        full.mean_delay_secs.to_bits(),
+        "{label}: delay bits diverged"
+    );
 }
 
 #[test]
@@ -346,53 +321,49 @@ fn faulted_runs_checkpoint_mid_run_and_resume_bit_identically() {
     // the exact bit-stream of the uninterrupted run, faults included.
     let scenario = scenario();
     let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
-    for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-        let label = format!("faulted OPT {mode:?}");
+    let label = "faulted OPT";
 
-        let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build()
-            .run();
-        assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
+    let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan.clone())
+        .build()
+        .run();
+    assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
 
-        let mut part = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-            .seed(5)
-            .mobility_mode(mode)
-            .faults(plan.clone())
-            .build();
-        while part.now().as_secs_f64() < 300.0 {
-            if !part.step() {
-                break;
-            }
+    let mut part = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+        .seed(5)
+        .faults(plan.clone())
+        .build();
+    while part.now().as_secs_f64() < 300.0 {
+        if !part.step() {
+            break;
         }
-        let bytes = part.checkpoint_bytes();
-        drop(part);
-
-        let (resumed_sim, _) =
-            Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let resumed = resumed_sim.run();
-        assert_eq!(
-            golden(&resumed),
-            golden(&full),
-            "{label}: counters diverged"
-        );
-        assert_eq!(
-            resumed.faults, full.faults,
-            "{label}: fault counters diverged"
-        );
-        assert_eq!(
-            resumed.mean_delay_secs.to_bits(),
-            full.mean_delay_secs.to_bits(),
-            "{label}: delay accounting diverged"
-        );
-        assert_eq!(
-            resumed.total_sensor_energy_j.to_bits(),
-            full.total_sensor_energy_j.to_bits(),
-            "{label}: energy accounting diverged"
-        );
     }
+    let bytes = part.checkpoint_bytes();
+    drop(part);
+
+    let (resumed_sim, _) =
+        Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let resumed = resumed_sim.run();
+    assert_eq!(
+        golden(&resumed),
+        golden(&full),
+        "{label}: counters diverged"
+    );
+    assert_eq!(
+        resumed.faults, full.faults,
+        "{label}: fault counters diverged"
+    );
+    assert_eq!(
+        resumed.mean_delay_secs.to_bits(),
+        full.mean_delay_secs.to_bits(),
+        "{label}: delay accounting diverged"
+    );
+    assert_eq!(
+        resumed.total_sensor_energy_j.to_bits(),
+        full.total_sensor_energy_j.to_bits(),
+        "{label}: energy accounting diverged"
+    );
 }
 
 /// Steps `sim` until `pred` holds at an event boundary past `t_min`
@@ -419,14 +390,12 @@ fn checkpoints_taken_mid_frame_resume_bit_identically() {
     let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
     let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
         .seed(5)
-        .mobility_mode(MobilityMode::Ticked)
         .faults(plan.clone())
         .build()
         .run();
 
     let mut part = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
         .seed(5)
-        .mobility_mode(MobilityMode::Ticked)
         .faults(plan.clone())
         .build();
     assert!(
@@ -471,23 +440,21 @@ fn checkpoints_taken_mid_coast_lease_resume_bit_identically() {
     let plan = FaultPlan::node_failures(&scenario, 0.25, Some(150.0), 17);
     let full = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
         .seed(8)
-        .mobility_mode(MobilityMode::Ticked)
         .faults(plan.clone())
         .build()
         .run();
 
     let mut part = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
         .seed(8)
-        .mobility_mode(MobilityMode::Ticked)
         .faults(plan.clone())
         .build();
     assert!(
         step_until(&mut part, 250.0, |s| {
-            s.coasting_nodes().expect("ticked mode") > scenario.sensors / 2
+            s.coasting_nodes() > scenario.sensors / 2
         }),
         "most of the population should be mid-lease at a typical boundary"
     );
-    let mid_lease = part.coasting_nodes().expect("ticked mode");
+    let mid_lease = part.coasting_nodes();
     assert!(mid_lease > 0, "checkpoint instant was not mid-lease");
     let bytes = part.checkpoint_bytes();
     drop(part);

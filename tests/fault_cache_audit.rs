@@ -1,4 +1,4 @@
-//! Fault-path invalidation audit of the ticked-mode contact cache.
+//! Fault-path invalidation audit of the contact cache.
 //!
 //! The cache memoizes neighbour *supersets* keyed by a worst-case-drift
 //! validity window; crash/recover and link-drop faults mutate liveness and
@@ -43,7 +43,6 @@ fn fingerprint(r: &SimReport) -> Vec<u64> {
 fn run(kind: ProtocolKind, seed: u64, plan: &FaultPlan, cached: bool) -> SimReport {
     Simulation::builder(scenario(), kind)
         .seed(seed)
-        .mobility_mode(MobilityMode::Ticked)
         .faults(plan.clone())
         .contact_cache(cached)
         .build()

@@ -5,8 +5,8 @@
 //!
 //! 1. **Builtin parity** — routing the six builtin variants through the
 //!    trait (`.policy(PolicySpec::Builtin)`) is bit-identical to the
-//!    implicit path, for every variant, under both mobility engines and
-//!    under fault injection. The trait is a seam, not a behaviour change.
+//!    implicit path, for every variant, with and without fault
+//!    injection. The trait is a seam, not a behaviour change.
 //! 2. **Competitor goldens** — `TwoHopRelay` and `MeetingRate` reproduce
 //!    pinned counters on the same 20-sensor/2-sink/2 000 s workload as
 //!    `determinism_baseline`, so policy regressions surface exactly like
@@ -26,7 +26,7 @@ fn pinned_scenario() -> ScenarioParams {
         .with_duration_secs(2000)
 }
 
-/// Smaller workload for the 6 × 2 parity sweep and the faulted runs.
+/// Smaller workload for the parity sweep and the faulted runs.
 fn parity_scenario() -> ScenarioParams {
     ScenarioParams::paper_default()
         .with_sensors(16)
@@ -54,24 +54,20 @@ fn golden(r: &SimReport) -> [u64; 8] {
 #[test]
 fn builtin_variants_are_bit_identical_through_the_trait() {
     for kind in ProtocolKind::ALL {
-        for mode in [MobilityMode::Ticked, MobilityMode::Lazy] {
-            let implicit = Simulation::builder(parity_scenario(), kind)
-                .seed(9)
-                .mobility_mode(mode)
-                .build()
-                .run();
-            let via_trait = Simulation::builder(parity_scenario(), kind)
-                .seed(9)
-                .mobility_mode(mode)
-                .policy(PolicySpec::Builtin)
-                .build()
-                .run();
-            assert_eq!(
-                implicit.to_json().render(),
-                via_trait.to_json().render(),
-                "{kind} {mode:?}: trait dispatch changed the outcome"
-            );
-        }
+        let implicit = Simulation::builder(parity_scenario(), kind)
+            .seed(9)
+            .build()
+            .run();
+        let via_trait = Simulation::builder(parity_scenario(), kind)
+            .seed(9)
+            .policy(PolicySpec::Builtin)
+            .build()
+            .run();
+        assert_eq!(
+            implicit.to_json().render(),
+            via_trait.to_json().render(),
+            "{kind}: trait dispatch changed the outcome"
+        );
     }
 }
 
