@@ -92,9 +92,9 @@ cargo run --release -q -p dftmsn-cli -- run --policy twohop:budget=3 \
     || { echo "policy smoke: run --policy failed"; exit 1; }
 
 echo "==> adversary-parity gate (all-honest runs bit-identical; adversarial runs seed-deterministic)"
-# Quiet-run bit-identity across all 12 goldens (behavior machinery compiled
-# in but dormant) plus the stacked behavior+fault and lifetime suites.
-cargo test --release -q --test determinism_baseline
+# Quiet-run bit-identity (behavior machinery compiled in but dormant) is the
+# golden determinism baseline gate above; this runs the stacked
+# behavior+fault and lifetime suites.
 cargo test --release -q --test behavior
 # Seeded 25%-selfish determinism smoke: two identical invocations must
 # produce byte-equal JSON reports.

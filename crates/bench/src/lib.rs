@@ -15,10 +15,8 @@
 //! `--duration SECS` and `--threads N` (runs executed in parallel), reject
 //! any flag they do not read, and write text + CSV tables under `results/`.
 //!
-//! The Criterion benches (`cargo bench`) cover the protocol math, queue
-//! operations, the substrates, and short end-to-end simulations. The
-//! simulator's end-to-end and per-layer performance is measured by the
-//! repository's benchmark, `perfbench/` (see `perfbench/README.md`),
+//! The simulator's end-to-end and per-layer performance is measured by
+//! the repository's benchmark, `perfbench/` (see `perfbench/README.md`),
 //! which builds on [`scale::scale_scenario`] and [`sweep::run_all_with`].
 
 #![forbid(unsafe_code)]

@@ -1,31 +1,11 @@
-//! Dense replacements for the engine's hot lookup structures.
+//! Flat, index-addressed delivery de-duplication.
 //!
-//! The original engine kept delivery de-duplication in a
-//! `HashSet<MessageId>`, fault-degraded links in a
-//! `HashMap<(NodeId, NodeId), f64>`, and read per-node MAC state through
-//! the full [`Node`](crate::node::Node) struct (several cache lines per
-//! node). All three sit on per-frame paths, so at thousands of nodes the
-//! hashing and pointer-chasing dominate. This module provides flat,
-//! index-addressed equivalents:
-//!
-//! * [`DeliveredSet`] — a growable bitset keyed by the sequential
-//!   [`MessageId`] space of the allocator (one bit per message ever
-//!   generated).
-//! * [`LinkDropTable`] — a triangular dense table over unordered node
-//!   pairs, allocated lazily on the first per-pair fault so fault-free
-//!   runs pay nothing.
-//! * [`HotNodeTable`] — a struct-of-arrays mirror of the per-node fields
-//!   the delivery loop reads most (timer-guard epoch, MAC state tag, ξ),
-//!   kept in sync by the world at every mutation site. Positions are
-//!   already split into the world's own `Vec<Vec2>`.
-//!
-//! None of these change any observable behaviour: they are drop-in
-//! lookup-structure swaps, and the 12-golden determinism baseline holds
-//! bit-for-bit with them active.
+//! [`DeliveredSet`] is a growable bitset keyed by the sequential
+//! [`MessageId`] space of the allocator (one bit per message ever
+//! generated), in place of a `HashSet<MessageId>` probe per sink
+//! reception. Its raw words are part of the `dftmsn-ckpt/1` format.
 
 use crate::message::MessageId;
-use crate::node::MacState;
-use dftmsn_radio::ids::NodeId;
 
 /// Growable bitset over the sequential [`MessageId`] space.
 ///
@@ -94,176 +74,9 @@ impl DeliveredSet {
     }
 }
 
-/// Dense per-pair link-degradation table with lazy allocation.
-///
-/// Stores one `f64` per unordered node pair in a triangular layout
-/// (`idx(a ≤ b) = b(b+1)/2 + a`), with NaN as the "no per-pair entry"
-/// sentinel so lookups fall through to the run's global drop figure. The
-/// backing array is only allocated when the first per-pair fault lands:
-/// fault-free runs — including the whole scale tier — never touch it, and
-/// [`LinkDropTable::is_empty`] stays a counter check on the hot path.
-///
-/// The triangular array is O(n²) in the node count, which is fine for the
-/// fault scenarios that use per-pair degradation (tens of nodes) and
-/// irrelevant elsewhere because of the lazy allocation.
-#[derive(Debug, Default, Clone)]
-pub struct LinkDropTable {
-    nodes: usize,
-    cells: Vec<f64>,
-    entries: usize,
-}
-
-impl LinkDropTable {
-    /// Creates an (unallocated) table for `nodes` nodes.
-    #[must_use]
-    pub fn new(nodes: usize) -> Self {
-        LinkDropTable {
-            nodes,
-            cells: Vec::new(),
-            entries: 0,
-        }
-    }
-
-    fn idx(&self, a: NodeId, b: NodeId) -> usize {
-        let (lo, hi) = if a.index() <= b.index() {
-            (a.index(), b.index())
-        } else {
-            (b.index(), a.index())
-        };
-        assert!(hi < self.nodes, "node {hi} out of range ({})", self.nodes);
-        hi * (hi + 1) / 2 + lo
-    }
-
-    /// Sets the drop probability of the unordered pair `a`–`b`, allocating
-    /// the table on first use.
-    pub fn set(&mut self, a: NodeId, b: NodeId, p: f64) {
-        let i = self.idx(a, b);
-        if self.cells.is_empty() {
-            self.cells = vec![f64::NAN; self.nodes * (self.nodes + 1) / 2];
-        }
-        if self.cells[i].is_nan() {
-            self.entries += 1;
-        }
-        self.cells[i] = p;
-    }
-
-    /// Removes the per-pair entry for `a`–`b`, if any.
-    pub fn clear(&mut self, a: NodeId, b: NodeId) {
-        let i = self.idx(a, b);
-        if !self.cells.is_empty() && !self.cells[i].is_nan() {
-            self.cells[i] = f64::NAN;
-            self.entries -= 1;
-        }
-    }
-
-    /// The per-pair entry for `a`–`b`, or `None` to fall back to the
-    /// global figure.
-    #[must_use]
-    pub fn get(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        if self.entries == 0 {
-            return None;
-        }
-        let v = self.cells[self.idx(a, b)];
-        (!v.is_nan()).then_some(v)
-    }
-
-    /// True when no per-pair entry is set (the common, fault-free case).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// The set per-pair entries as `(lo, hi, p)` triangular coordinates in
-    /// index order, for checkpointing. Empty when unallocated.
-    #[must_use]
-    pub fn set_entries(&self) -> Vec<(NodeId, NodeId, f64)> {
-        let mut out = Vec::with_capacity(self.entries);
-        for hi in 0..self.nodes {
-            for lo in 0..=hi {
-                let v = match self.cells.get(hi * (hi + 1) / 2 + lo) {
-                    Some(&v) => v,
-                    None => break,
-                };
-                if !v.is_nan() {
-                    out.push((NodeId(lo), NodeId(hi), v));
-                }
-            }
-        }
-        out
-    }
-
-    /// Rebuilds a table for `nodes` nodes from
-    /// [`set_entries`](Self::set_entries) output. An empty entry list
-    /// leaves the table unallocated, preserving the lazy fast path.
-    #[must_use]
-    pub fn from_set_entries(nodes: usize, entries: &[(NodeId, NodeId, f64)]) -> Self {
-        let mut table = Self::new(nodes);
-        for &(a, b, p) in entries {
-            table.set(a, b, p);
-        }
-        table
-    }
-}
-
-/// Struct-of-arrays mirror of the hottest per-node fields.
-///
-/// The delivery loop and the frame-reception filters read three per-node
-/// facts over and over — the timer-guard epoch, the MAC state tag, and the
-/// routing metric ξ — but the canonical copies live inside
-/// [`Node`](crate::node::Node), a large struct whose neighbours (queue,
-/// neighbor table, RNG, energy meter) evict cache lines on every touch.
-/// This table packs the three into flat arrays the world keeps current by
-/// calling [`HotNodeTable::sync`] after every mutation block; readers in
-/// `world` carry `debug_assert!`s against the canonical fields, so a
-/// missed sync fails the (debug-built) test suite immediately.
-#[derive(Debug, Default)]
-pub struct HotNodeTable {
-    /// Timer-guard epoch, mirroring `Node::epoch`.
-    pub epoch: Vec<u64>,
-    /// MAC state tag, mirroring `Node::state`.
-    pub state: Vec<MacState>,
-    /// Routing-metric value ξ, mirroring `Node::metric.value()`.
-    pub xi: Vec<f64>,
-    /// Sink flag, mirroring `Node::is_sink()`. Immutable after
-    /// construction — roles never change mid-run.
-    pub sink: Vec<bool>,
-    /// Liveness flag, mirroring `Node::alive`. Toggled only by the fault
-    /// handlers, which call [`HotNodeTable::sync_alive`].
-    pub alive: Vec<bool>,
-}
-
-impl HotNodeTable {
-    /// Creates a table of `n` entries in each node's initial state.
-    #[must_use]
-    pub fn with_len(n: usize) -> Self {
-        HotNodeTable {
-            epoch: vec![0; n],
-            state: vec![MacState::Passive; n],
-            xi: vec![0.0; n],
-            sink: vec![false; n],
-            alive: vec![true; n],
-        }
-    }
-
-    /// Refreshes entry `idx` from the canonical node fields.
-    #[inline]
-    pub fn sync(&mut self, idx: usize, epoch: u64, state: MacState, xi: f64) {
-        self.epoch[idx] = epoch;
-        self.state[idx] = state;
-        self.xi[idx] = xi;
-    }
-
-    /// Refreshes the liveness mirror for entry `idx`.
-    #[inline]
-    pub fn sync_alive(&mut self, idx: usize, alive: bool) {
-        self.alive[idx] = alive;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::TxPlan;
 
     #[test]
     fn delivered_set_matches_hashset_semantics() {
@@ -290,63 +103,5 @@ mod tests {
         for i in 0..640 {
             assert!(!s.contains(MessageId(i)), "phantom member {i}");
         }
-    }
-
-    #[test]
-    fn link_drop_table_is_lazy_and_symmetric() {
-        let mut t = LinkDropTable::new(10);
-        assert!(t.is_empty());
-        assert_eq!(t.cells.capacity(), 0, "fault-free table must not allocate");
-        assert_eq!(t.get(NodeId(3), NodeId(7)), None);
-
-        t.set(NodeId(7), NodeId(3), 0.25);
-        assert!(!t.is_empty());
-        assert_eq!(t.get(NodeId(3), NodeId(7)), Some(0.25));
-        assert_eq!(t.get(NodeId(7), NodeId(3)), Some(0.25));
-        assert_eq!(t.get(NodeId(3), NodeId(4)), None);
-
-        t.set(NodeId(7), NodeId(3), 0.5);
-        assert_eq!(t.get(NodeId(3), NodeId(7)), Some(0.5));
-
-        t.clear(NodeId(3), NodeId(7));
-        assert!(t.is_empty());
-        assert_eq!(t.get(NodeId(3), NodeId(7)), None);
-    }
-
-    #[test]
-    fn link_drop_clear_on_empty_table_is_a_noop() {
-        let mut t = LinkDropTable::new(4);
-        t.clear(NodeId(0), NodeId(3));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn link_drop_self_pair_and_extremes_index_cleanly() {
-        let mut t = LinkDropTable::new(5);
-        t.set(NodeId(2), NodeId(2), 1.0);
-        t.set(NodeId(0), NodeId(4), 0.1);
-        t.set(NodeId(0), NodeId(0), 0.2);
-        t.set(NodeId(4), NodeId(4), 0.3);
-        assert_eq!(t.get(NodeId(2), NodeId(2)), Some(1.0));
-        assert_eq!(t.get(NodeId(4), NodeId(0)), Some(0.1));
-        assert_eq!(t.get(NodeId(0), NodeId(0)), Some(0.2));
-        assert_eq!(t.get(NodeId(4), NodeId(4)), Some(0.3));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn link_drop_rejects_out_of_range_nodes() {
-        let mut t = LinkDropTable::new(3);
-        t.set(NodeId(0), NodeId(3), 0.5);
-    }
-
-    #[test]
-    fn hot_table_sync_updates_one_row() {
-        let mut h = HotNodeTable::with_len(3);
-        assert_eq!(h.state[1], MacState::Passive);
-        h.sync(1, 7, MacState::Transmitting(TxPlan::Data), 0.75);
-        assert_eq!(h.epoch, vec![0, 7, 0]);
-        assert_eq!(h.state[1], MacState::Transmitting(TxPlan::Data));
-        assert_eq!(h.xi, vec![0.0, 0.75, 0.0]);
     }
 }

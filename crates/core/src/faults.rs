@@ -763,6 +763,17 @@ mod tests {
         assert!(plan.validate(&s).is_err(), "self-link");
 
         let mut plan = FaultPlan::default();
+        plan.push(
+            10.0,
+            FaultKind::LinkDegrade {
+                a: NodeId(0),
+                b: NodeId(s.sensors + s.sinks),
+                drop_prob: 0.5,
+            },
+        );
+        assert!(plan.validate(&s).is_err(), "link endpoint out of range");
+
+        let mut plan = FaultPlan::default();
         plan.push(f64::NAN, FaultKind::GlobalLinkDegrade { drop_prob: 0.5 });
         assert!(plan.validate(&s).is_err(), "NaN time");
 

@@ -29,7 +29,7 @@
 use crate::behavior::{BehaviorTable, LifetimeTracker, NodeBehavior};
 use crate::contention::{optimize_cts_window, optimize_tau_max, sigma};
 use crate::delivery::DeliveryProb;
-use crate::dense::{DeliveredSet, HotNodeTable, LinkDropTable};
+use crate::dense::DeliveredSet;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::frames::MacPayload;
 use crate::ftd::Ftd;
@@ -60,10 +60,17 @@ use dftmsn_radio::medium::{Frame, Medium, TxHandle};
 use dftmsn_sim::event::EventQueue;
 use dftmsn_sim::rng::SimRng;
 use dftmsn_sim::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 #[path = "world_ckpt.rs"]
 mod ckpt;
 pub use ckpt::{CkptError, Resumed, CKPT_MAGIC};
+
+/// Key of the undirected link `a`–`b` in the per-pair drop map:
+/// `(hi, lo)`, so both orientations share one entry.
+fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    (a.max(b), a.min(b))
+}
 
 /// Node-local timer kinds; all are epoch-guarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -479,10 +486,6 @@ pub struct Simulation {
 
     events: EventQueue<Event>,
     nodes: Vec<Node>,
-    /// Struct-of-arrays mirror of the hottest per-node fields (epoch, MAC
-    /// state tag, ξ); refreshed via [`Self::sync_hot`] after every
-    /// mutation, asserted against the canonical fields in debug builds.
-    hot: HotNodeTable,
     mobility: Vec<Box<dyn MobilityModel>>,
     mobility_rng: SimRng,
     coast: TickedCoast,
@@ -521,8 +524,9 @@ pub struct Simulation {
     /// Per-frame drop probability applied to every link without a
     /// per-pair entry.
     global_link_drop: f64,
-    /// Per-pair drop probabilities (dense, lazily allocated).
-    link_drop: LinkDropTable,
+    /// Per-pair drop probabilities, keyed by [`link_key`] (`(hi, lo)`),
+    /// so iteration runs hi ascending, then lo — the checkpoint's order.
+    link_drop: BTreeMap<(NodeId, NodeId), f64>,
     /// True once any fault event has fired (gates the
     /// `deliveries_despite_faults` counter).
     fault_regime: bool,
@@ -606,7 +610,8 @@ impl SimulationBuilder {
     /// Enables or disables the contact cache (default: on).
     /// Disabling it forces every neighbour query down the exact uncached
     /// path; results must be bit-identical either way. This is a
-    /// differential-testing knob, not a tuning surface.
+    /// differential-testing knob, not a tuning surface. A checkpoint does
+    /// not carry the setting: a resumed simulation always caches.
     pub fn contact_cache(mut self, on: bool) -> Self {
         self.contact_cache = on;
         self
@@ -823,13 +828,6 @@ impl Simulation {
         let occupancy = (n as f64 * disc / (area.width() * area.height()).max(1.0)).ceil();
         let k = (occupancy as usize).clamp(8, 256);
 
-        let mut hot = HotNodeTable::with_len(n);
-        for (idx, node) in nodes.iter().enumerate() {
-            hot.sync(idx, node.epoch, node.state, node.metric.value());
-            hot.sink[idx] = node.is_sink();
-            hot.sync_alive(idx, node.alive);
-        }
-
         let policy = Policy::builtin(config);
         let mac = policy.mac();
         let behaviors = BehaviorTable::new(n);
@@ -845,7 +843,6 @@ impl Simulation {
             end,
             events: EventQueue::new(),
             nodes,
-            hot,
             mobility,
             mobility_rng,
             coast,
@@ -865,7 +862,7 @@ impl Simulation {
             fault_plan: FaultPlan::default(),
             fault_rng,
             global_link_drop: 0.0,
-            link_drop: LinkDropTable::new(n),
+            link_drop: BTreeMap::new(),
             fault_regime: false,
             behaviors,
             lifetime,
@@ -968,7 +965,9 @@ impl Simulation {
 
     /// Contact-cache telemetry: `(hits, misses)` of the neighbour cache,
     /// `None` when the cache was disabled with
-    /// [`contact_cache(false)`](SimulationBuilder::contact_cache).
+    /// [`contact_cache(false)`](SimulationBuilder::contact_cache). A
+    /// checkpoint carries neither the setting nor the counters: after a
+    /// resume this is always `Some`, counting from 0 at the resume.
     #[must_use]
     pub fn contact_cache_stats(&self) -> Option<(u64, u64)> {
         self.contacts.as_ref().map(|c| (c.hits, c.misses))
@@ -1040,7 +1039,7 @@ impl Simulation {
             Event::MetricTimeout(_) => 2,
             Event::TxEnd(..) => 3,
             Event::Timer(i, epoch, timer) => {
-                if self.hot.epoch[i.index()] != *epoch {
+                if self.nodes[i.index()].epoch != *epoch {
                     11
                 } else {
                     match timer {
@@ -1080,29 +1079,15 @@ impl Simulation {
             Event::MetricTimeout(i) => self.on_metric_timeout(now, i),
             Event::TxEnd(i, handle) => self.on_tx_end(now, i, handle),
             Event::Timer(i, epoch, timer) => {
-                // Staleness check against the dense epoch mirror: most
-                // timers are stale (implicit cancellation), so this filter
-                // runs hot and must not pull whole `Node`s through cache.
-                debug_assert_eq!(self.hot.epoch[i.index()], self.nodes[i.index()].epoch);
-                if self.hot.epoch[i.index()] == epoch {
+                // Epoch guard: a timer armed before the node's last MAC
+                // transition is stale (implicit cancellation).
+                if self.nodes[i.index()].epoch == epoch {
                     self.on_timer(now, i, timer);
                 }
             }
             Event::Fault(k) => self.on_fault(now, k),
             Event::ObserveTick => self.on_observe_tick(now),
         }
-    }
-
-    /// Refreshes node `idx`'s row of the dense hot-state mirror. Must be
-    /// called after every block that transitions the MAC state (which
-    /// bumps the epoch) or updates the routing metric; consumers
-    /// `debug_assert` the mirror against the canonical fields, so a
-    /// missed call fails the debug-built test suite.
-    #[inline]
-    fn sync_hot(&mut self, idx: usize) {
-        let node = &self.nodes[idx];
-        self.hot
-            .sync(idx, node.epoch, node.state, node.metric.value());
     }
 
     // ------------------------------------------------------------------
@@ -1209,9 +1194,10 @@ impl Simulation {
             }
             FaultKind::LinkDegrade { a, b, drop_prob } => {
                 if drop_prob > 0.0 {
-                    self.link_drop.set(a, b, drop_prob.clamp(0.0, 1.0));
+                    self.link_drop
+                        .insert(link_key(a, b), drop_prob.clamp(0.0, 1.0));
                 } else {
-                    self.link_drop.clear(a, b);
+                    self.link_drop.remove(&link_key(a, b));
                 }
             }
             FaultKind::GlobalLinkDegrade { drop_prob } => {
@@ -1224,10 +1210,6 @@ impl Simulation {
                 let idx = node.index();
                 // Orthogonal to liveness: assigning to a dead node records
                 // the behavior, which takes effect if the node recovers.
-                debug_assert_eq!(
-                    self.hot.alive[idx], self.nodes[idx].alive,
-                    "alive mirror drifted at behavior change"
-                );
                 self.behaviors.set(idx, behavior);
                 self.metrics.faults.behavior_changes += 1;
             }
@@ -1241,15 +1223,7 @@ impl Simulation {
         let idx = i.index();
         if !self.nodes[idx].alive {
             // Crashing a dead node is a no-op, but a battery death still
-            // pins it down so a later recovery is refused. `battery_dead`
-            // has no SoA mirror and nothing else here touches mirrored
-            // state, so no re-sync is needed; the assertions prove the
-            // mirrors were left consistent when the node went down.
-            debug_assert!(
-                !self.hot.alive[idx],
-                "alive mirror drifted on an already-dead node"
-            );
-            debug_assert_eq!(self.hot.epoch[idx], self.nodes[idx].epoch);
+            // pins it down so a later recovery is refused.
             if permanent {
                 self.nodes[idx].battery_dead = true;
             }
@@ -1280,8 +1254,6 @@ impl Simulation {
         if let Some(ctx) = taken_ctx {
             self.scratch.recycle_sender_ctx(ctx);
         }
-        self.sync_hot(idx);
-        self.hot.sync_alive(idx, false);
         self.metrics.faults.messages_lost_to_crash += lost;
         self.medium.set_listening(i, false);
         if idx < self.scenario.sensors {
@@ -1307,8 +1279,6 @@ impl Simulation {
             node.cycles_inactive = 0;
             node.listen_retries = 0;
         }
-        self.sync_hot(idx);
-        self.hot.sync_alive(idx, true);
         self.medium.set_listening(i, true);
         if idx < self.scenario.sensors {
             self.lifetime.on_revive();
@@ -1332,12 +1302,14 @@ impl Simulation {
         if self.link_drop.is_empty() {
             return self.global_link_drop;
         }
-        self.link_drop.get(a, b).unwrap_or(self.global_link_drop)
+        self.link_drop
+            .get(&link_key(a, b))
+            .copied()
+            .unwrap_or(self.global_link_drop)
     }
 
     fn schedule_timer(&mut self, i: NodeId, delay: SimDuration, timer: Timer) {
-        debug_assert_eq!(self.hot.epoch[i.index()], self.nodes[i.index()].epoch);
-        let epoch = self.hot.epoch[i.index()];
+        let epoch = self.nodes[i.index()].epoch;
         self.events
             .schedule_after(delay, Event::Timer(i, epoch, timer));
     }
@@ -1474,7 +1446,6 @@ impl Simulation {
             let windows = (now.saturating_since(anchor).ticks() / delta.ticks().max(1)).max(1);
             node.metric.decay_windows(self.protocol.alpha, windows);
             node.xi_anchor = anchor + delta * windows;
-            self.sync_hot(i.index());
             self.events.schedule_after(delta, Event::MetricTimeout(i));
         } else {
             self.events.schedule_at(due, Event::MetricTimeout(i));
@@ -1498,12 +1469,8 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn start_cycle(&mut self, now: SimTime, i: NodeId) {
-        // Hottest early exit in the event loop (every WakeUp lands here):
-        // served from the dense mirrors so the common case touches no
-        // `Node` cache line before the real work starts.
-        debug_assert_eq!(self.hot.sink[i.index()], self.nodes[i.index()].is_sink());
-        debug_assert_eq!(self.hot.alive[i.index()], self.nodes[i.index()].alive);
-        if self.hot.sink[i.index()] || !self.hot.alive[i.index()] {
+        // Hottest early exit in the event loop (every WakeUp lands here).
+        if self.nodes[i.index()].is_sink() || !self.nodes[i.index()].alive {
             return;
         }
         {
@@ -1528,7 +1495,6 @@ impl Simulation {
             // then re-evaluate the sleeping policy.
             let window = SimDuration::from_secs_f64(self.protocol.receiver_window_secs);
             self.nodes[i.index()].transition(MacState::Passive);
-            self.sync_hot(i.index());
             self.schedule_timer(i, window, Timer::Guard);
         } else {
             self.enter_sender_listen(now, i);
@@ -1548,7 +1514,6 @@ impl Simulation {
         };
         let tau_slots = node.rng.gen_range_inclusive(1, sig);
         node.transition(MacState::SenderListen);
-        self.sync_hot(i.index());
         self.metrics.attempts += 1;
         let listen = self.timing.listen_slot * tau_slots;
         self.schedule_timer(i, listen, Timer::ListenDone);
@@ -1618,7 +1583,7 @@ impl Simulation {
         // win the sender's selection; the sender's copy-fate logic then
         // believes the copy moved (or was delivered) and drops it — the
         // capture mechanism of both behaviors.
-        let (metric, space) = if self.behaviors.any() && !self.hot.sink[i.index()] {
+        let (metric, space) = if self.behaviors.any() && !self.nodes[i.index()].is_sink() {
             match self.behaviors.get(i.index()) {
                 NodeBehavior::Liar => {
                     self.metrics.faults.lied_advertisements += 1;
@@ -1743,8 +1708,7 @@ impl Simulation {
         for (k, &(id, _)) in selection.receivers.iter().enumerate() {
             if ctx.acked.contains(&id) {
                 self.scratch.confirmed_xis.push(selection.receiver_xis[k]);
-                debug_assert_eq!(self.hot.sink[id.index()], self.nodes[id.index()].is_sink());
-                if self.hot.sink[id.index()] {
+                if self.nodes[id.index()].is_sink() {
                     any_sink = true;
                 }
             }
@@ -1777,7 +1741,6 @@ impl Simulation {
                 &mut node.metric,
             )
         };
-        self.sync_hot(i.index());
 
         // Queue bookkeeping for the transmitted message.
         let msg_id = ctx.msg.id;
@@ -1806,8 +1769,7 @@ impl Simulation {
     }
 
     fn end_cycle(&mut self, now: SimTime, i: NodeId, active: bool) {
-        debug_assert_eq!(self.hot.sink[i.index()], self.nodes[i.index()].is_sink());
-        if self.hot.sink[i.index()] {
+        if self.nodes[i.index()].is_sink() {
             let node = &mut self.nodes[i.index()];
             if let Some(ctx) = node.sender_ctx.take() {
                 self.scratch.recycle_sender_ctx(ctx);
@@ -1815,7 +1777,6 @@ impl Simulation {
             node.receiver_ctx = None;
             node.listen_retries = 0;
             node.transition(MacState::Passive);
-            self.sync_hot(i.index());
             return;
         }
         let urgency_bound = Ftd::new(self.protocol.urgency_ftd_bound);
@@ -1859,7 +1820,6 @@ impl Simulation {
             node.transition(MacState::Sleeping);
             node.meter
                 .set_state(now, RadioState::Sleep, &self.scenario.energy);
-            self.sync_hot(i.index());
             self.medium.set_listening(i, false);
             self.emit(TraceEvent::Slept {
                 at: now,
@@ -1869,7 +1829,6 @@ impl Simulation {
             self.schedule_timer(i, duration, Timer::WakeUp);
         } else {
             self.nodes[i.index()].transition(MacState::Passive);
-            self.sync_hot(i.index());
             self.schedule_timer(i, backoff, Timer::WakeUp);
         }
     }
@@ -2040,7 +1999,6 @@ impl Simulation {
             node.meter
                 .set_state(now, RadioState::Tx, &self.scenario.energy);
         }
-        self.sync_hot(i.index());
         self.medium.set_listening(i, false);
         let handle = self.medium.begin_tx(
             now,
@@ -2120,14 +2078,12 @@ impl Simulation {
                     .expect("RTS without ctx")
                     .window_slots;
                 self.nodes[i.index()].transition(MacState::CollectCts);
-                self.sync_hot(i.index());
                 let wait = self.timing.cts_slot * u64::from(window) + self.timing.gap;
                 self.schedule_timer(i, wait, Timer::CtsWindowEnd);
             }
             TxPlan::Cts => {
                 let ctx = self.nodes[i.index()].receiver_ctx.expect("CTS without ctx");
                 self.nodes[i.index()].transition(MacState::AwaitSchedule);
-                self.sync_hot(i.index());
                 let deadline = ctx.rts_end
                     + self.timing.cts_slot * u64::from(ctx.window_slots)
                     + self.timing.ctrl
@@ -2157,7 +2113,6 @@ impl Simulation {
                         .map_or(0, |s| s.receivers.len() as u64)
                 };
                 self.nodes[i.index()].transition(MacState::AwaitAcks);
-                self.sync_hot(i.index());
                 let wait = self.timing.ack_slot * receivers + self.timing.gap * 2;
                 self.schedule_timer(i, wait, Timer::AckWindowEnd);
             }
@@ -2203,11 +2158,8 @@ impl Simulation {
             // Fault filters. All of them are inert on a fault-free run:
             // every node is alive, both drop tables are empty and every
             // corruption probability is zero, so no branch is taken and no
-            // random number is drawn. The liveness read comes from the
-            // dense mirror — this loop fans out to every audible node, so
-            // pulling a full `Node` per receiver would dominate it.
-            debug_assert_eq!(self.hot.alive[r.index()], self.nodes[r.index()].alive);
-            if !self.hot.alive[r.index()] {
+            // random number is drawn.
+            if !self.nodes[r.index()].alive {
                 self.metrics.faults.frames_dropped += 1;
                 if is_data {
                     self.metrics.faults.retransmissions_triggered += 1;
@@ -2257,22 +2209,14 @@ impl Simulation {
         ftd: f64,
         msg: MessageId,
     ) -> bool {
-        debug_assert_eq!(self.hot.sink[r.index()], self.nodes[r.index()].is_sink());
-        if self.hot.sink[r.index()] {
+        if self.nodes[r.index()].is_sink() {
             // Sinks always qualify: ξ = 1 and effectively infinite buffer.
             return true;
         }
         let node = &self.nodes[r.index()];
-        // The ξ comparison screens most receivers out before the queue is
-        // consulted, so it reads the dense mirror.
-        debug_assert_eq!(
-            self.hot.xi[r.index()].to_bits(),
-            node.metric.value().to_bits()
-        );
-        let xi = self.hot.xi[r.index()];
         self.policy.qualifies(
             &RxView {
-                xi,
+                xi: node.metric.value(),
                 queue: &node.queue,
             },
             &RtsInfo {
@@ -2289,22 +2233,18 @@ impl Simulation {
         // Policy estimator hook: any heard frame is a contact observation.
         // Builtin returns `None` unconditionally (the compiler folds the
         // branch away), so the pre-seam runs stay bit-identical.
-        if !self.hot.sink[r.index()] {
-            let src_is_sink = self.hot.sink[src.index()];
+        if !self.nodes[r.index()].is_sink() {
+            let src_is_sink = self.nodes[src.index()].is_sink();
             if let Some(m) = self.policy.on_frame_from(r, src, src_is_sink, now) {
                 self.nodes[r.index()].metric = DeliveryProb::new(m);
-                self.sync_hot(r.index());
             }
         }
         match &frame.payload {
             MacPayload::Preamble => {
                 // Preambles fan out to every audible node, so this filter
-                // is the hottest state read in the loop — serve it from
-                // the dense mirror.
-                debug_assert_eq!(self.hot.state[r.index()], self.nodes[r.index()].state);
-                if self.hot.state[r.index()].receptive() {
+                // is the hottest state read in the loop.
+                if self.nodes[r.index()].state.receptive() {
                     self.nodes[r.index()].transition(MacState::AwaitRts);
-                    self.sync_hot(r.index());
                     let deadline = self.timing.ctrl + self.timing.gap * 2;
                     self.schedule_timer(r, deadline, Timer::Guard);
                 }
@@ -2326,7 +2266,7 @@ impl Simulation {
                 // liars/forgers volunteer whenever they can physically
                 // store the copy (their CTS then inflates the
                 // advertisement).
-                let qualifies = if self.behaviors.any() && !self.hot.sink[r.index()] {
+                let qualifies = if self.behaviors.any() && !self.nodes[r.index()].is_sink() {
                     match self.behaviors.get(r.index()) {
                         NodeBehavior::Honest => self.qualified(r, src, *xi, *ftd, *msg),
                         NodeBehavior::Selfish => false,
@@ -2357,13 +2297,11 @@ impl Simulation {
                         ack_slot: 0,
                     });
                     self.nodes[r.index()].transition(MacState::CtsPending);
-                    self.sync_hot(r.index());
                     let delay = self.timing.cts_slot * u64::from(slot - 1) + self.timing.gap;
                     self.schedule_timer(r, delay, Timer::CtsSlot);
                 } else {
                     // NAV: defer until the overheard exchange finishes.
                     self.nodes[r.index()].transition(MacState::Passive);
-                    self.sync_hot(r.index());
                     let nav = self.timing.nav_after_rts(*window_slots);
                     self.schedule_timer(r, nav, Timer::Guard);
                 }
@@ -2388,7 +2326,6 @@ impl Simulation {
                 } else if state.receptive() {
                     // Third party: stay out of the way (NAV).
                     self.nodes[r.index()].transition(MacState::Passive);
-                    self.sync_hot(r.index());
                     let nav = self.timing.nav_overheard();
                     self.schedule_timer(r, nav, Timer::Guard);
                 }
@@ -2410,13 +2347,11 @@ impl Simulation {
                             ctx.ack_slot = k as u32;
                         }
                         self.nodes[r.index()].transition(MacState::AwaitData);
-                        self.sync_hot(r.index());
                         let deadline = self.timing.data + self.timing.gap * 2;
                         self.schedule_timer(r, deadline, Timer::Guard);
                     } else {
                         // Replied but not selected: wait out the exchange.
                         self.nodes[r.index()].transition(MacState::Passive);
-                        self.sync_hot(r.index());
                         let nav = self.timing.data
                             + self.timing.ack_slot * receivers.len() as u64
                             + self.timing.gap * 3;
@@ -2424,7 +2359,6 @@ impl Simulation {
                     }
                 } else if state.receptive() {
                     self.nodes[r.index()].transition(MacState::Passive);
-                    self.sync_hot(r.index());
                     let nav = self.timing.nav_overheard();
                     self.schedule_timer(r, nav, Timer::Guard);
                 }
@@ -2439,8 +2373,7 @@ impl Simulation {
                 if ctx.msg != msg.id || ctx.sender != src {
                     return;
                 }
-                debug_assert_eq!(self.hot.sink[r.index()], self.nodes[r.index()].is_sink());
-                if self.hot.sink[r.index()] {
+                if self.nodes[r.index()].is_sink() {
                     self.record_sink_reception(now, r, &msg.hopped());
                 } else {
                     // Any adversarial receiver captures the copy: the ACK it
@@ -2466,7 +2399,6 @@ impl Simulation {
                     }
                 }
                 self.nodes[r.index()].transition(MacState::AckPending);
-                self.sync_hot(r.index());
                 let delay = self.timing.ack_slot * u64::from(ctx.ack_slot) + self.timing.gap;
                 self.schedule_timer(r, delay, Timer::AckSlot);
             }
@@ -2801,9 +2733,6 @@ mod tests {
         let mut sim = mk(ProtocolKind::Opt);
         let r = NodeId(0);
         sim.nodes[r.index()].metric = DeliveryProb::new(0.5);
-        // Direct metric pokes bypass the engine's mutation sites, so the
-        // hot mirror must be refreshed by hand.
-        sim.sync_hot(r.index());
         let s = NodeId(5);
         assert!(sim.qualified(r, s, 0.4, 0.0, MessageId(9)));
         assert!(
@@ -3288,11 +3217,49 @@ mod tests {
     }
 
     #[test]
-    fn stacked_fault_plans_keep_the_hot_mirrors_consistent() {
+    fn per_pair_link_drop_is_undirected_and_clearable() {
+        // A per-pair entry serves both orientations, other pairs fall back
+        // to the global figure, and a later zero-probability event for the
+        // same pair (either orientation) clears the entry.
+        let mut plan = FaultPlan::default();
+        plan.push(10.0, FaultKind::GlobalLinkDegrade { drop_prob: 0.1 });
+        let (a, b) = (NodeId(7), NodeId(3));
+        plan.push(
+            20.0,
+            FaultKind::LinkDegrade {
+                a,
+                b,
+                drop_prob: 0.25,
+            },
+        );
+        plan.push(
+            30.0,
+            FaultKind::LinkDegrade {
+                a: b,
+                b: a,
+                drop_prob: 0.0,
+            },
+        );
+        let mut sim = Simulation::builder(tiny(), ProtocolKind::Opt)
+            .seed(5)
+            .faults(plan)
+            .build();
+        let now = sim.now();
+        sim.on_fault(now, 0);
+        sim.on_fault(now, 1);
+        assert_eq!(sim.link_drop_prob(NodeId(3), NodeId(7)), 0.25);
+        assert_eq!(sim.link_drop_prob(NodeId(7), NodeId(3)), 0.25);
+        assert_eq!(sim.link_drop_prob(NodeId(3), NodeId(4)), 0.1);
+        sim.on_fault(now, 2);
+        assert_eq!(sim.link_drop_prob(NodeId(3), NodeId(7)), 0.1);
+        assert_eq!(sim.link_drop_prob(NodeId(7), NodeId(3)), 0.1);
+    }
+
+    #[test]
+    fn battery_death_pins_a_crashed_node_down() {
         // Property sweep over stacked plans: BatteryDeath landing on an
-        // already-crashed node takes the early return in `crash_node`,
-        // whose debug assertions prove the SoA mirrors never drift. The
-        // recovery then stays refused (battery_dead pins the node down).
+        // already-crashed node takes the early return in `crash_node`, and
+        // the recovery then stays refused (battery_dead pins the node down).
         let mut rng = SimRng::seed_from(0x057A_C4ED);
         for trial in 0..8 {
             let scenario = tiny();

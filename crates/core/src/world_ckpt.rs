@@ -1205,12 +1205,13 @@ impl Simulation {
 
         w.u64(self.observe_ticks);
         w.f64(self.global_link_drop);
-        let drops = self.link_drop.set_entries();
-        w.seq(&drops, |w, &(a, b, p)| {
-            w_node_id(w, a);
-            w_node_id(w, b);
+        // `(lo, hi, p)` triples, hi ascending, then lo (the map's order).
+        w.usize(self.link_drop.len());
+        for (&(hi, lo), &p) in &self.link_drop {
+            w_node_id(w, lo);
+            w_node_id(w, hi);
             w.f64(p);
-        });
+        }
         w.bool(self.fault_regime);
 
         // Observer accumulation state (None when no recorder attached).
@@ -1469,12 +1470,12 @@ impl Simulation {
         sim.observe_ticks = r.u64()?;
         sim.global_link_drop = r.f64()?;
         let drops = r.seq(|r| Ok((r_node_id(r)?, r_node_id(r)?, r.f64()?)))?;
-        for &(a, b, _) in &drops {
+        for (a, b, p) in drops {
             if a.index() >= n || b.index() >= n {
                 return Err(CkptError::corrupt("link-drop entry names unknown node"));
             }
+            sim.link_drop.insert(link_key(a, b), p);
         }
-        sim.link_drop = LinkDropTable::from_set_entries(n, &drops);
         sim.fault_regime = r.bool()?;
         sim.fault_plan = plan;
 
@@ -1575,16 +1576,11 @@ impl Simulation {
         }
 
         // Derived state: positions mirror the models, the grid mirrors the
-        // positions, the hot table mirrors the nodes.
+        // positions.
         for j in 0..n {
             sim.positions[j] = sim.mobility[j].position();
         }
         sim.grid.rebuild(&sim.positions);
-        for idx in 0..n {
-            sim.sync_hot(idx);
-            let alive = sim.nodes[idx].alive;
-            sim.hot.sync_alive(idx, alive);
-        }
 
         let recorder = recorder_state.map(MetricsRecorder::restore_state);
         if let Some(rec) = &recorder {

@@ -11,10 +11,10 @@
 //! * every bucket stores its node indices in ascending order, so
 //!   [`query_within`](SpatialGrid::query_within) produces sorted output by
 //!   merging the scanned neighbourhood instead of sorting per query;
-//! * [`update`](SpatialGrid::update) moves only the nodes whose cell
-//!   changed since the last indexing — stationary sinks and slow nodes
-//!   cost nothing per mobility tick, where a full
-//!   [`rebuild`](SpatialGrid::rebuild) used to reclear every bucket.
+//! * [`move_node_margin`](SpatialGrid::move_node_margin) re-buckets a
+//!   single node only when its cell changed — a node that stays inside
+//!   its cell costs one cell computation, where a full
+//!   [`rebuild`](SpatialGrid::rebuild) reclears every bucket.
 
 use crate::geom::{Bounds, Vec2};
 
@@ -43,7 +43,7 @@ pub struct SpatialGrid {
     /// `u32` halves the bucket memory traffic on the query hot path; node
     /// counts past 4 billion are far beyond any simulated scenario.
     buckets: Vec<Vec<u32>>,
-    /// Cached cell index per node from the last `rebuild`/`update`.
+    /// Cached cell index per node, kept by `rebuild`/`move_node_margin`.
     node_cell: Vec<u32>,
 }
 
@@ -99,18 +99,6 @@ impl SpatialGrid {
         }
     }
 
-    /// Moves the single node `i` to position `p`, keeping its bucket
-    /// membership (and the ascending bucket order) consistent. Free when
-    /// the node stayed inside its cell, and touches no other node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` was not part of the last `rebuild`.
-    pub fn move_node(&mut self, i: usize, p: Vec2) {
-        let new_cell = self.cell_of(p) as u32;
-        self.relocate(i, new_cell);
-    }
-
     /// Re-buckets node `i` into `new_cell` if it moved, preserving
     /// ascending bucket order.
     fn relocate(&mut self, i: usize, new_cell: u32) {
@@ -130,12 +118,15 @@ impl SpatialGrid {
         self.node_cell[i] = new_cell;
     }
 
-    /// [`move_node`](Self::move_node) fused with
-    /// [`cell_margin`](Self::cell_margin): moves node `i` to `p` and
-    /// returns the margin at `p`, sharing the coordinate normalization
-    /// both need. This is the coast engine's cell-recheck
-    /// primitive, called every time a lease's cell window expires, so the
-    /// duplicate divisions of the unfused pair matter.
+    /// Moves node `i` to `p`, keeping its bucket membership (and the
+    /// ascending bucket order) consistent, and returns the distance from
+    /// `p` to the nearest boundary of its new cell: a node that moves
+    /// strictly less than this stays in its cell, so its index entry
+    /// cannot go stale. The margin is 0 for points outside the area
+    /// (their clamped cell offers no such guarantee). Free when the node
+    /// stayed inside its cell, and touches no other node. This is the
+    /// coast engine's cell-recheck primitive, called every time a lease's
+    /// cell window expires.
     ///
     /// # Panics
     ///
@@ -149,29 +140,6 @@ impl SpatialGrid {
         let mx = (fx - cx as f64).min(cx as f64 + 1.0 - fx) * self.cell;
         let my = (fy - cy as f64).min(cy as f64 + 1.0 - fy) * self.cell;
         mx.min(my).max(0.0)
-    }
-
-    /// Incrementally refreshes the index: only nodes whose cell changed
-    /// since the last `rebuild`/`update` are moved. Equivalent to (but
-    /// much cheaper than) a full [`rebuild`](Self::rebuild) over the same
-    /// positions — nodes that stayed inside their cell cost one
-    /// `cell_of` computation and nothing else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node count changed since the last indexing (the
-    /// incremental path tracks movement, not membership; `rebuild` after
-    /// adding or removing nodes).
-    pub fn update(&mut self, positions: &[Vec2]) {
-        assert!(
-            self.node_cell.len() == positions.len(),
-            "index built for {} nodes, updated with {} (rebuild after membership changes)",
-            self.node_cell.len(),
-            positions.len()
-        );
-        for (i, &p) in positions.iter().enumerate() {
-            self.move_node(i, p);
-        }
     }
 
     /// Collects into `out` the indices of all nodes within distance `r` of
@@ -291,21 +259,6 @@ impl SpatialGrid {
     pub fn cell_size(&self) -> f64 {
         self.cell
     }
-
-    /// Distance from `p` to the nearest boundary of the grid cell it maps
-    /// to: a node that moves strictly less than this stays in its cell, so
-    /// its index entry cannot go stale. Returns 0 for points outside the
-    /// area (their clamped cell offers no such guarantee).
-    #[must_use]
-    pub fn cell_margin(&self, p: Vec2) -> f64 {
-        let fx = (p.x - self.area.x0) / self.cell;
-        let fy = (p.y - self.area.y0) / self.cell;
-        let cx = (fx as isize).clamp(0, self.cols as isize - 1) as f64;
-        let cy = (fy as isize).clamp(0, self.rows as isize - 1) as f64;
-        let mx = (fx - cx).min(cx + 1.0 - fx) * self.cell;
-        let my = (fy - cy).min(cy + 1.0 - fy) * self.cell;
-        mx.min(my).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -339,6 +292,14 @@ mod tests {
         }
     }
 
+    /// Moves every node of `grid` to its entry in `positions`, as the
+    /// engine's mobility tick does.
+    fn move_all(grid: &mut SpatialGrid, positions: &[Vec2]) {
+        for (i, &p) in positions.iter().enumerate() {
+            grid.move_node_margin(i, p);
+        }
+    }
+
     #[test]
     fn incremental_update_matches_full_rebuild() {
         // Random walks with a mix of still, slow, and cell-hopping nodes:
@@ -365,7 +326,7 @@ mod tests {
                 p.x = (p.x + rng.gen_range_f64(-step, step)).clamp(0.0, 120.0);
                 p.y = (p.y + rng.gen_range_f64(-step, step)).clamp(0.0, 120.0);
             }
-            inc.update(&positions);
+            move_all(&mut inc, &positions);
             let mut full = SpatialGrid::new(area, 10.0);
             full.rebuild(&positions);
             for i in 0..n {
@@ -383,18 +344,9 @@ mod tests {
         let mut grid = SpatialGrid::new(Bounds::new(100.0, 100.0), 10.0);
         grid.rebuild(&positions);
         let before = grid.clone();
-        grid.update(&positions);
+        move_all(&mut grid, &positions);
         assert_eq!(grid.buckets, before.buckets);
         assert_eq!(grid.node_cell, before.node_cell);
-    }
-
-    #[test]
-    #[should_panic(expected = "rebuild after membership changes")]
-    fn update_with_changed_node_count_panics() {
-        let positions = vec![Vec2::ZERO, Vec2::new(1.0, 1.0)];
-        let mut grid = SpatialGrid::new(Bounds::new(10.0, 10.0), 5.0);
-        grid.rebuild(&positions[..1]);
-        grid.update(&positions);
     }
 
     #[test]
@@ -416,7 +368,7 @@ mod tests {
     fn empty_rebuild_is_fine() {
         let mut grid = SpatialGrid::new(Bounds::new(10.0, 10.0), 10.0);
         grid.rebuild(&[]);
-        grid.update(&[]);
+        move_all(&mut grid, &[]);
         // No nodes, nothing to query; just ensure no panic.
     }
 
@@ -478,23 +430,23 @@ mod tests {
 
     #[test]
     fn cell_margin_bounds_cell_changes() {
-        // A node moved by strictly less than its cell margin must keep the
-        // same cell index; margin is 0 only on cell boundaries.
+        // A node moved by strictly less than the margin returned for its
+        // last move must keep the same cell; margin is 0 only on cell
+        // boundaries.
         let mut rng = SimRng::seed_from(91);
-        let grid = SpatialGrid::new(Bounds::new(100.0, 100.0), 7.0);
+        let mut grid = SpatialGrid::new(Bounds::new(100.0, 100.0), 7.0);
+        grid.rebuild(&[Vec2::ZERO]);
         for _ in 0..500 {
             let p = Vec2::new(rng.gen_range_f64(0.0, 100.0), rng.gen_range_f64(0.0, 100.0));
-            let m = grid.cell_margin(p);
+            let m = grid.move_node_margin(0, p);
             assert!((0.0..=3.5 + 1e-9).contains(&m), "margin {m} out of range");
             if m > 1e-9 {
                 let step = m * 0.999;
                 for &(dx, dy) in &[(step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)] {
                     let q = Vec2::new(p.x + dx, p.y + dy);
-                    assert_eq!(
-                        grid.cell_of(p),
-                        grid.cell_of(q),
-                        "p {p:?} moved ({dx},{dy})"
-                    );
+                    let mut moved = grid.clone();
+                    moved.move_node_margin(0, q);
+                    assert_eq!(grid.node_cell, moved.node_cell, "p {p:?} moved ({dx},{dy})");
                 }
             }
         }
@@ -502,6 +454,16 @@ mod tests {
 
     #[test]
     fn move_node_margin_matches_unfused_pair() {
+        // The fused move agrees with a separately computed margin and
+        // leaves the index equal to a fresh rebuild.
+        let margin = |p: Vec2| {
+            let (cell, side) = (8.0, 13.0);
+            let cx = ((p.x / cell) as isize).clamp(0, side as isize - 1) as f64;
+            let cy = ((p.y / cell) as isize).clamp(0, side as isize - 1) as f64;
+            let mx = (p.x / cell - cx).min(cx + 1.0 - p.x / cell) * cell;
+            let my = (p.y / cell - cy).min(cy + 1.0 - p.y / cell) * cell;
+            mx.min(my).max(0.0)
+        };
         let mut rng = SimRng::seed_from(133);
         let area = Bounds::new(100.0, 100.0);
         let n = 40;
@@ -509,19 +471,18 @@ mod tests {
             .map(|_| Vec2::new(rng.gen_range_f64(0.0, 100.0), rng.gen_range_f64(0.0, 100.0)))
             .collect();
         let mut fused = SpatialGrid::new(area, 8.0);
-        let mut plain = SpatialGrid::new(area, 8.0);
         fused.rebuild(&positions);
-        plain.rebuild(&positions);
         for _step in 0..30 {
             for (i, p) in positions.iter_mut().enumerate() {
                 p.x = (p.x + rng.gen_range_f64(-6.0, 6.0)).clamp(0.0, 100.0);
                 p.y = (p.y + rng.gen_range_f64(-6.0, 6.0)).clamp(0.0, 100.0);
                 let m = fused.move_node_margin(i, *p);
-                plain.move_node(i, *p);
-                assert_eq!(m.to_bits(), plain.cell_margin(*p).to_bits());
+                assert_eq!(m.to_bits(), margin(*p).to_bits(), "node {i} at {p:?}");
             }
-            assert_eq!(fused.buckets, plain.buckets);
-            assert_eq!(fused.node_cell, plain.node_cell);
+            let mut full = SpatialGrid::new(area, 8.0);
+            full.rebuild(&positions);
+            assert_eq!(fused.buckets, full.buckets);
+            assert_eq!(fused.node_cell, full.node_cell);
         }
     }
 

@@ -120,7 +120,9 @@ proptest! {
                 p.x = (p.x + rng.gen_range_f64(-max_step, max_step)).clamp(0.0, 200.0);
                 p.y = (p.y + rng.gen_range_f64(-max_step, max_step)).clamp(0.0, 200.0);
             }
-            inc.update(&positions);
+            for (i, &p) in positions.iter().enumerate() {
+                inc.move_node_margin(i, p);
+            }
             let mut full = SpatialGrid::new(area, cell);
             full.rebuild(&positions);
             for i in 0..n {

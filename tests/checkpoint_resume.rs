@@ -14,6 +14,7 @@
 
 use dftmsn::core::variants::ProtocolKind;
 use dftmsn::prelude::*;
+use dftmsn::radio::ids::NodeId;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -222,40 +223,51 @@ fn committed_golden_fixture_still_resumes() {
 #[test]
 fn faulted_runs_resume_bit_identically() {
     // Faults exercise the fault-plan cursor, the fault RNG stream and the
-    // crash/recovery state machines across the checkpoint boundary.
+    // crash/recovery state machines across the checkpoint boundary. The
+    // second plan adds two per-pair link degradations that are still live
+    // at the checkpoint, so the per-pair drop entries cross it too.
     let scenario = scenario();
-    let plan = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
-    let label = "faulted OPT";
-
-    let full_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-        .seed(5)
-        .faults(plan.clone())
-        .build();
-    let full = full_sim.run();
-    assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
-
-    let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
-        .seed(5)
-        .faults(plan.clone())
-        .build();
-    while part_sim.now().as_secs_f64() < 300.0 {
-        if !part_sim.step() {
-            break;
-        }
+    let crashes = FaultPlan::node_failures(&scenario, 0.3, Some(120.0), 9);
+    let mut links = crashes.clone();
+    for (at, a, b, drop_prob) in [(50.0, 16, 2, 0.6), (150.0, 4, 9, 0.9)] {
+        let (a, b) = (NodeId(a), NodeId(b));
+        links.push(at, FaultKind::LinkDegrade { a, b, drop_prob });
     }
-    let bytes = part_sim.checkpoint_bytes();
-    let (resumed_sim, _) =
-        Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let resumed = resumed_sim.run();
-    assert_eq!(
-        golden(&resumed),
-        golden(&full),
-        "{label}: counters diverged"
-    );
-    assert_eq!(
-        resumed.faults, full.faults,
-        "{label}: fault counters diverged"
-    );
+
+    for (label, plan) in [
+        ("faulted OPT", crashes),
+        ("faulted OPT, per-pair links", links),
+    ] {
+        let full_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+            .seed(5)
+            .faults(plan.clone())
+            .build();
+        let full = full_sim.run();
+        assert!(full.faults.crashes > 0, "{label}: plan injected nothing");
+
+        let mut part_sim = Simulation::builder(scenario.clone(), ProtocolKind::Opt)
+            .seed(5)
+            .faults(plan.clone())
+            .build();
+        while part_sim.now().as_secs_f64() < 300.0 {
+            if !part_sim.step() {
+                break;
+            }
+        }
+        let bytes = part_sim.checkpoint_bytes();
+        let (resumed_sim, _) =
+            Simulation::resume_from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let resumed = resumed_sim.run();
+        assert_eq!(
+            golden(&resumed),
+            golden(&full),
+            "{label}: counters diverged"
+        );
+        assert_eq!(
+            resumed.faults, full.faults,
+            "{label}: fault counters diverged"
+        );
+    }
 }
 
 #[test]
